@@ -54,13 +54,14 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> operator-throughput bench smoke (kernel vs reference, CSV archived)"
+echo "==> operator-throughput bench smoke (kernel vs reference)"
 # --smoke shrinks the input so this exercises every kernel-vs-reference
 # pair end-to-end in well under a second; the full-size run (no flag)
-# is where the speedup self-checks apply.
+# is where the speedup self-checks apply. Smoke runs write under
+# target/smoke/, leaving the full-size CSVs in results/ untouched.
 cargo run -q --release -p cackle-bench --bin bench_operator_throughput -- --smoke
-test -s results/operator_throughput.csv \
-    || { echo "bench_operator_throughput: missing results/operator_throughput.csv" >&2; exit 1; }
+test -s target/smoke/operator_throughput.csv \
+    || { echo "bench_operator_throughput: missing target/smoke/operator_throughput.csv" >&2; exit 1; }
 
 echo "==> worker-count determinism (1 and 8 workers, golden dumps)"
 cargo test -q --test determinism golden_dumps_are_byte_identical_across_worker_counts
@@ -74,13 +75,13 @@ cargo run -q --release --example quickstart
 cargo run -q --release -p cackle-telemetry --bin telemetry-check -- \
     results/quickstart_telemetry.jsonl
 
-echo "==> tenant-sweep smoke (exact attribution, stable p99, CSV archived)"
+echo "==> tenant-sweep smoke (exact attribution, stable p99)"
 # --smoke shrinks the sweep to 1/10/100 tenants; the bench itself
 # asserts exact micro-dollar attribution and p99-vs-single-tenant at
 # every row, so a serving-layer regression fails this step.
 cargo run -q --release -p cackle-bench --bin bench_tenant_sweep -- --smoke
-test -s results/tenant_sweep.csv \
-    || { echo "bench_tenant_sweep: missing results/tenant_sweep.csv" >&2; exit 1; }
+test -s target/smoke/tenant_sweep.csv \
+    || { echo "bench_tenant_sweep: missing target/smoke/tenant_sweep.csv" >&2; exit 1; }
 
 echo "==> multi-tenant serving smoke (per-tenant ledger + serve.* telemetry)"
 cargo run -q --release --example multi_tenant
@@ -97,9 +98,9 @@ echo "==> environment-grid smoke (scenario pack, exact ledger conservation)"
 # conservation and writes a multi-region cell's dump for the env.*
 # schema check. The CSV still covers all 4 environments x 3 strategies.
 cargo run -q --release -p cackle-bench --bin bench_env_grid -- --smoke
-test -s results/env_grid.csv \
-    || { echo "bench_env_grid: missing results/env_grid.csv" >&2; exit 1; }
+test -s target/smoke/env_grid.csv \
+    || { echo "bench_env_grid: missing target/smoke/env_grid.csv" >&2; exit 1; }
 cargo run -q --release -p cackle-telemetry --bin telemetry-check -- \
-    results/env_grid_telemetry.jsonl
+    target/smoke/env_grid_telemetry.jsonl
 
 echo "CI gate passed."

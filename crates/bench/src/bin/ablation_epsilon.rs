@@ -2,12 +2,11 @@
 //! bound needs eps <= 1/2; too small converges slowly (costly exploration),
 //! too large overreacts to noisy intervals.
 
-use cackle::model::run_model_with;
-use cackle::RunSpec;
-use cackle::{FamilyConfig, MetaStrategy};
+use cackle::model::run_model;
+use cackle::{FamilyConfig, MetaStrategy, RunError, RunSpec};
 use cackle_bench::*;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let e = env();
     let w = default_workload(4096);
     let spec = RunSpec::new().with_env(e.clone()).with_compute_only(true);
@@ -21,7 +20,7 @@ fn main() {
             ..FamilyConfig::default()
         };
         let mut m = MetaStrategy::with_family(cfg, &e);
-        let r = run_model_with(&w, &mut m, &spec);
+        let r = run_model(&w, &mut m, &spec)?;
         t.row_strings(vec![
             format!("{eps}"),
             usd(r.compute.total()),
@@ -30,4 +29,5 @@ fn main() {
         eprintln!("  done eps={eps}");
     }
     t.emit("ablation_epsilon");
+    Ok(())
 }

@@ -2,12 +2,11 @@
 //! Sweeps the family's granularity (lookback count x percentile density)
 //! and reports workload cost and expert-switch churn.
 
-use cackle::model::run_model_with;
-use cackle::RunSpec;
-use cackle::{FamilyConfig, MetaStrategy};
+use cackle::model::run_model;
+use cackle::{FamilyConfig, MetaStrategy, RunError, RunSpec};
 use cackle_bench::*;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let e = env();
     let w = default_workload(4096);
     let spec = RunSpec::new().with_env(e.clone()).with_compute_only(true);
@@ -46,7 +45,7 @@ fn main() {
     for (name, cfg) in cases {
         let mut m = MetaStrategy::with_family(cfg, &e);
         let n = m.family_size();
-        let r = run_model_with(&w, &mut m, &spec);
+        let r = run_model(&w, &mut m, &spec)?;
         t.row_strings(vec![
             name.into(),
             n.to_string(),
@@ -55,7 +54,8 @@ fn main() {
         ]);
         eprintln!("  done {name}");
     }
-    let oracle = compute_cost_for(&w, "oracle", &e);
+    let oracle = compute_cost_for(&w, "oracle", &e)?;
     println!("(oracle reference: ${oracle:.2})");
     t.emit("ablation_family");
+    Ok(())
 }

@@ -4,10 +4,11 @@
 
 use cackle::model::workload_curves;
 use cackle::oracle::{oracle_cost, oracle_cost_without_pool};
+use cackle::RunError;
 use cackle_bench::*;
 use cackle_cloud::SimDuration;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let w = default_workload(2048);
     let curves = workload_curves(&w);
     let mut t = ResultTable::new(
@@ -33,4 +34,5 @@ fn main() {
         eprintln!("  done min={min_s}");
     }
     t.emit("ablation_min_billing");
+    Ok(())
 }

@@ -6,10 +6,10 @@
 
 use cackle::model::{simulate_compute_with_timeline, workload_curves};
 use cackle::prices::PriceTimeline;
-use cackle::RunSpec;
+use cackle::{RunError, RunSpec};
 use cackle_bench::*;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let e = env();
     let w = default_workload(8192);
     let curves = workload_curves(&w);
@@ -25,13 +25,13 @@ fn main() {
     );
     for label in ["fixed_0", "fixed_500", "mean_2", "predictive", "dynamic"] {
         let base = {
-            let mut s = cackle::make_strategy(label, &e);
+            let mut s = cackle::make_strategy(label, &e)?;
             simulate_compute_with_timeline(demand, s.as_mut(), &spec, &flat)
                 .compute
                 .total()
         };
         let spiked = {
-            let mut s = cackle::make_strategy(label, &e);
+            let mut s = cackle::make_strategy(label, &e)?;
             simulate_compute_with_timeline(demand, s.as_mut(), &spec, &spike)
                 .compute
                 .total()
@@ -47,4 +47,5 @@ fn main() {
     t.emit("ablation_price_shift");
     println!("fixed_0 is untouched (no VMs) but was never competitive; among");
     println!("VM-using strategies, dynamic should absorb the smallest increase.");
+    Ok(())
 }

@@ -4,12 +4,11 @@
 //! implement it and measure the saving over the first portion of the
 //! workload, for accurate and inaccurate priors.
 
-use cackle::model::run_model_with;
-use cackle::RunSpec;
-use cackle::{FamilyConfig, MetaStrategy};
+use cackle::model::run_model;
+use cackle::{FamilyConfig, MetaStrategy, RunError, RunSpec};
 use cackle_bench::*;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let e = env();
     // A short, busy workload where the cold-start window is a meaningful
     // fraction of the total (the paper notes the effect is small for long
@@ -23,19 +22,20 @@ fn main() {
         "Extension: priming the meta-strategy with an expected workload (§4.4.6)",
         &["prior", "cost_usd"],
     );
-    let mut run_with = |name: &str, prime: Option<Vec<u32>>| {
+    let mut run_with = |name: &str, prime: Option<Vec<u32>>| -> Result<(), RunError> {
         let mut m = MetaStrategy::with_family(FamilyConfig::default(), &e);
         if let Some(p) = prime {
             m.prime(&p);
         }
-        let r = run_model_with(&w, &mut m, &rspec);
+        let r = run_model(&w, &mut m, &rspec)?;
         t.row_strings(vec![name.into(), usd(r.compute.total())]);
         eprintln!("  done {name}");
+        Ok(())
     };
-    run_with("none (cold start)", None);
-    run_with("accurate (typical demand level)", Some(vec![typical; 1800]));
-    run_with("2x too high", Some(vec![typical * 2; 1800]));
-    run_with("4x too low", Some(vec![typical / 4; 1800]));
+    run_with("none (cold start)", None)?;
+    run_with("accurate (typical demand level)", Some(vec![typical; 1800]))?;
+    run_with("2x too high", Some(vec![typical * 2; 1800]))?;
+    run_with("4x too low", Some(vec![typical / 4; 1800]))?;
     t.emit("ablation_priming");
 
     // Second scenario: steady demand from the first second (uniform
@@ -51,16 +51,18 @@ fn main() {
         "Extension: priming under steady-from-start demand",
         &["prior", "cost_usd"],
     );
-    let mut run_with = |name: &str, prime: Option<Vec<u32>>| {
+    let mut run_with = |name: &str, prime: Option<Vec<u32>>| -> Result<(), RunError> {
         let mut m = MetaStrategy::with_family(FamilyConfig::default(), &e);
         if let Some(p) = prime {
             m.prime(&p);
         }
-        let r = run_model_with(&w, &mut m, &rspec);
+        let r = run_model(&w, &mut m, &rspec)?;
         t.row_strings(vec![name.into(), usd(r.compute.total())]);
         eprintln!("  done steady/{name}");
+        Ok(())
     };
-    run_with("none (cold start)", None);
-    run_with("accurate (typical demand level)", Some(vec![typical; 1800]));
+    run_with("none (cold start)", None)?;
+    run_with("accurate (typical demand level)", Some(vec![typical; 1800]))?;
     t.emit("ablation_priming_steady");
+    Ok(())
 }

@@ -1,14 +1,13 @@
 //! Ablation: the 16 GB shuffle-node floor (§5.6). Without a floor, cold
 //! starts push every request to S3; with a huge floor, node rent dominates.
 
-use cackle::model::{build_workload, run_model_with};
-use cackle::MetaStrategy;
-use cackle::RunSpec;
+use cackle::model::{build_workload, run_model};
+use cackle::{MetaStrategy, RunError, RunSpec};
 use cackle_bench::*;
 use cackle_tpch::profiles::profile_set;
 use cackle_workload::arrivals::WorkloadSpec;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     // A sparse workload (60 SF-10 queries in an hour) where intermediate
     // state is small and bursty: this is where the floor matters — with a
     // busy workload the 20-minute window maximum dwarfs any floor.
@@ -28,7 +27,7 @@ fn main() {
         e.shuffle_min_bytes = floor_gib << 30;
         let mut m = MetaStrategy::new(&e);
         let spec = RunSpec::new().with_env(e.clone());
-        let r = run_model_with(&w, &mut m, &spec);
+        let r = run_model(&w, &mut m, &spec)?;
         t.row_strings(vec![
             floor_gib.to_string(),
             usd4(r.shuffle.node_cost),
@@ -39,4 +38,5 @@ fn main() {
         eprintln!("  done floor={floor_gib}");
     }
     t.emit("ablation_shuffle_floor");
+    Ok(())
 }

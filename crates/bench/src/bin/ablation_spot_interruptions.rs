@@ -5,11 +5,11 @@
 //! interruption rate through the fault plan (`crates/faults`) and measure
 //! the latency and cost impact plus the recovery work performed.
 
-use cackle::system::run_system_with;
-use cackle::{FaultSpec, MetaStrategy, RunSpec, Telemetry};
+use cackle::system::run_system;
+use cackle::{FaultSpec, MetaStrategy, RunError, RunSpec, Telemetry};
 use cackle_bench::*;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let w = hour_workload(750, 41);
     let mut t = ResultTable::new(
         "Extension: spot interruptions per VM-hour vs latency and cost",
@@ -29,7 +29,7 @@ fn main() {
             .with_faults(FaultSpec::default().with_spot_reclaims(rate))
             .with_telemetry(&telemetry);
         let mut s = MetaStrategy::new(&spec.env);
-        let r = run_system_with(&w, &mut s, &spec);
+        let r = run_system(&w, &mut s, &spec)?;
         t.row_strings(vec![
             format!("{rate}"),
             secs(r.latency_percentile(50.0)),
@@ -44,4 +44,5 @@ fn main() {
     t.emit("ablation_spot_interruptions");
     println!("queries never queue for replacement hardware: reclaimed tasks");
     println!("re-execute on the pool, so tail latency degrades gracefully.");
+    Ok(())
 }

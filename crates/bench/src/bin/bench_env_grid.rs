@@ -10,12 +10,14 @@
 //! only when) the environment has a remote region. A drifting component
 //! fails the bench rather than quietly skewing the CSV.
 //!
-//! Pass `--smoke` for the reduced grid used by CI. One cell's telemetry
-//! dump is written to `results/env_grid_telemetry.jsonl` so the CI
-//! telemetry-check can validate the `env.*` series schema end to end.
+//! Pass `--smoke` for the reduced grid used by CI; it writes under
+//! `target/smoke/` instead of `results/`, so the full-size artifacts stay
+//! intact. One cell's telemetry dump is written to
+//! `env_grid_telemetry.jsonl` beside the CSV so the CI telemetry-check
+//! can validate the `env.*` series schema end to end.
 
-use cackle::system::run_system_with;
-use cackle::{make_strategy, EnvironmentSpec, RunSpec, Telemetry};
+use cackle::system::run_system;
+use cackle::{make_strategy, EnvironmentSpec, FaultSpec, RunError, RunSpec, Telemetry};
 use cackle_bench::*;
 use cackle_cloud::micro_dollars;
 
@@ -39,7 +41,7 @@ fn scenarios() -> Vec<(&'static str, EnvironmentSpec)> {
     ]
 }
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (queries, strategies): (usize, &[&str]) = if smoke {
         (150, &["fixed_8", "mean_2", "dynamic"])
@@ -67,10 +69,10 @@ fn main() {
         for &label in strategies {
             let telemetry = Telemetry::new();
             let spec = RunSpec::new()
-                .with_environment(env.clone())
+                .with_faults(FaultSpec::default().with_environment(env.clone()))
                 .with_telemetry(&telemetry);
-            let mut s = make_strategy(label, &spec.env);
-            let r = run_system_with(&w, s.as_mut(), &spec);
+            let mut s = make_strategy(label, &spec.env)?;
+            let r = run_system(&w, s.as_mut(), &spec)?;
 
             // Exact conservation: each layer's bill is the sum of its
             // component shares on the micro-dollar grid, and the grand
@@ -135,13 +137,15 @@ fn main() {
             eprintln!("  done {env_name}/{label}");
         }
     }
-    t.emit("env_grid");
+    let dir = output_dir(smoke);
+    t.emit_in(&dir, "env_grid");
     if let Some(d) = dump {
-        let path = std::path::Path::new("results").join("env_grid_telemetry.jsonl");
+        let path = dir.join("env_grid_telemetry.jsonl");
         if std::fs::write(&path, d).is_ok() {
             eprintln!("wrote {}", path.display());
         }
     }
     println!("every cell conserved its ledger exactly: component micro-dollar");
     println!("shares summed to the layer totals and the layers to the bill.");
+    Ok(())
 }

@@ -11,6 +11,7 @@
 //!
 //! Records `results/executor_speedup.csv`.
 
+use cackle::RunError;
 use cackle_bench::ResultTable;
 use cackle_engine::batch::Batch;
 use cackle_engine::executor::Executor;
@@ -21,7 +22,7 @@ use std::time::Instant;
 
 const ITERS: u32 = 3;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let catalog = generate_catalog(&DbGenConfig {
         scale_factor: 0.02,
         rows_per_partition: 2048,
@@ -88,4 +89,5 @@ fn main() {
         ]);
     }
     table.emit("executor_speedup");
+    Ok(())
 }

@@ -7,11 +7,13 @@
 //! the engine refactor targets ≥4× single-thread throughput there.
 //!
 //! `--smoke` shrinks the input and iteration count so CI can exercise
-//! the binary end-to-end in well under a second.
+//! the binary end-to-end in well under a second, and writes under
+//! `target/smoke/` so the full-size CSV stays intact.
 //!
 //! Records `results/operator_throughput.csv`.
 
-use cackle_bench::ResultTable;
+use cackle::RunError;
+use cackle_bench::{output_dir, ResultTable};
 use cackle_engine::kernel_prelude::{filter_batch, filter_project, ScratchArena};
 use cackle_engine::ops::aggregate::{hash_aggregate, AggExpr, AggFunc};
 use cackle_engine::ops::join::{hash_join, JoinType};
@@ -92,7 +94,7 @@ fn rows_per_s(total_rows: usize, iters: u32, mut f: impl FnMut()) -> f64 {
     total_rows as f64 / (best as f64 / 1e9)
 }
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (n_batches, rows, iters) = if smoke { (4, 1024, 1) } else { (64, 4096, 5) };
     let mut rng = Rng::new(7);
@@ -325,12 +327,12 @@ fn main() {
         reference,
     );
 
-    table.emit("operator_throughput");
+    table.emit_in(&output_dir(smoke), "operator_throughput");
 
     // Smoke mode exists to exercise the binary in CI; its inputs are too
     // small for stable ratios, so the self-checks only run full-size.
     if smoke {
-        return;
+        return Ok(());
     }
     for (name, speedup) in &speedups {
         // `like` and `project_arith` were already columnar before the
@@ -349,4 +351,5 @@ fn main() {
         headline >= 4.0,
         "scan_filter_aggregate speedup {headline:.2}x below the 4x target"
     );
+    Ok(())
 }

@@ -8,14 +8,15 @@
 //! when nobody is throttled. Both properties are asserted per row, so a
 //! regression fails the bench rather than quietly skewing the CSV.
 //!
-//! Pass `--smoke` for the reduced sweep used by CI.
+//! Pass `--smoke` for the reduced sweep used by CI; it writes under
+//! `target/smoke/` instead of `results/`.
 
-use cackle::RunSpec;
+use cackle::{make_strategy, RunError, RunSpec};
 use cackle_bench::*;
 use cackle_serve::{run_serve, ServeSpec, TenantRegistry};
 use cackle_workload::arrivals::WorkloadSpec;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (queries, sweep): (usize, &[usize]) = if smoke {
         (300, &[1, 10, 100])
@@ -43,7 +44,8 @@ fn main() {
     for &n in sweep {
         let spec =
             ServeSpec::new(TenantRegistry::homogeneous(n, &aggregate)).with_run(RunSpec::new());
-        let r = run_serve(&spec, &mix).expect("sweep spec is valid");
+        let mut strategy = make_strategy("dynamic", &spec.run.env)?;
+        let r = run_serve(&spec, &mix, strategy.as_mut())?;
         let aggregate_micros = r.run.total_cost_micros();
         let attributed_micros = r.attributed_total_micros();
         assert_eq!(
@@ -73,7 +75,8 @@ fn main() {
         ]);
         eprintln!("  done tenants={n}");
     }
-    t.emit("tenant_sweep");
+    t.emit_in(&output_dir(smoke), "tenant_sweep");
     println!("per-tenant shares summed to the aggregate bill exactly at every");
     println!("sweep point, and p99 stayed within 10% of the single-tenant run.");
+    Ok(())
 }

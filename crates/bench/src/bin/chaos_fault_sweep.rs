@@ -7,11 +7,11 @@
 //! re-execution, first-wins duplicates); the table reports how much
 //! latency and attributed recovery spend that resilience costs.
 
-use cackle::system::run_system_with;
-use cackle::{FaultSpec, MetaStrategy, RunSpec, Telemetry};
+use cackle::system::run_system;
+use cackle::{FaultSpec, MetaStrategy, RunError, RunSpec, Telemetry};
 use cackle_bench::*;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let w = hour_workload(600, 47);
     let mut t = ResultTable::new(
         "Chaos: fault intensity vs recovered cost and latency",
@@ -39,7 +39,7 @@ fn main() {
             .with_faults(faults)
             .with_telemetry(&telemetry);
         let mut s = MetaStrategy::new(&spec.env);
-        let r = run_system_with(&w, &mut s, &spec);
+        let r = run_system(&w, &mut s, &spec)?;
         let faults_total = telemetry.counter("fault.spot_reclaims_total")
             + telemetry.counter("fault.pool_invoke_failures_total")
             + telemetry.counter("fault.pool_throttles_total")
@@ -72,4 +72,5 @@ fn main() {
     t.emit("chaos_fault_sweep");
     println!("all injected faults recovered within the policy bound; the");
     println!("recovery_cost column is the attributed price of that resilience.");
+    Ok(())
 }

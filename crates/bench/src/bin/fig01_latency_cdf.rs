@@ -3,14 +3,15 @@
 //! with five fixed clusters vs small with autoscaling.
 
 use cackle::system::run_system;
-use cackle::RunSpec;
+use cackle::{make_strategy, RunError, RunSpec};
 use cackle_bench::*;
 use cackle_comparators::{run_databricks, DatabricksConfig, WarehouseSize};
 use cackle_workload::demand::percentile_f64;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let w = hour_workload(1500, 11);
-    let cackle_run = run_system(&w, &RunSpec::new());
+    let spec = RunSpec::new();
+    let cackle_run = run_system(&w, make_strategy("dynamic", &spec.env)?.as_mut(), &spec)?;
     let fixed5 = run_databricks(&w, &DatabricksConfig::fixed(WarehouseSize::Small, 5));
     let auto = run_databricks(&w, &DatabricksConfig::autoscaling(WarehouseSize::Small, 8));
 
@@ -40,4 +41,5 @@ fn main() {
         fixed5.total_cost(),
         auto.total_cost()
     );
+    Ok(())
 }

@@ -3,6 +3,7 @@
 //! for the full span and a minute-max series for a two-hour window,
 //! mirroring each figure's top/bottom panels.
 
+use cackle::RunError;
 use cackle_bench::ResultTable;
 use cackle_workload::demand::DemandCurve;
 use cackle_workload::traces;
@@ -37,7 +38,7 @@ fn emit(fig: &str, name: &str, unit: &str, curve: &DemandCurve, window_start_h: 
     t.emit(&format!("{}_window", fig.to_lowercase()));
 }
 
-fn main() {
+fn main() -> Result<(), RunError> {
     emit(
         "Fig02",
         "startup workload",
@@ -59,4 +60,5 @@ fn main() {
         &traces::azure_trace(1),
         150,
     );
+    Ok(())
 }

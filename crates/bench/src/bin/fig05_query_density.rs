@@ -2,9 +2,10 @@
 //! (Table 1 defaults otherwise). Strategies: fixed_0 (pool only),
 //! fixed_500, mean_2, predictive, oracle, dynamic.
 
+use cackle::RunError;
 use cackle_bench::*;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let e = env();
     let labels = [
         "fixed_0",
@@ -30,10 +31,11 @@ fn main() {
         let w = default_workload(n);
         let mut row = vec![n.to_string()];
         for label in labels {
-            row.push(usd(compute_cost_for(&w, label, &e)));
+            row.push(usd(compute_cost_for(&w, label, &e)?));
         }
         t.row_strings(row);
         eprintln!("  done n={n}");
     }
     t.emit("fig05_query_density");
+    Ok(())
 }

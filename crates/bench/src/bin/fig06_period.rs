@@ -2,10 +2,11 @@
 //! otherwise: 16384 queries over 12 h, 30 % baseline).
 
 use cackle::model::build_workload;
+use cackle::RunError;
 use cackle_bench::*;
 use cackle_workload::arrivals::WorkloadSpec;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let e = env();
     let mix = model_mix();
     let labels = [
@@ -36,10 +37,11 @@ fn main() {
         let w = build_workload(&spec, &mix);
         let mut row = vec![period.to_string()];
         for label in labels {
-            row.push(usd(compute_cost_for(&w, label, &e)));
+            row.push(usd(compute_cost_for(&w, label, &e)?));
         }
         t.row_strings(row);
         eprintln!("  done period={period}");
     }
     t.emit("fig06_period");
+    Ok(())
 }

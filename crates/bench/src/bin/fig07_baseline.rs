@@ -2,10 +2,11 @@
 //! from fully sinusoidal (0.0) to fully uniform (1.0).
 
 use cackle::model::build_workload;
+use cackle::RunError;
 use cackle_bench::*;
 use cackle_workload::arrivals::WorkloadSpec;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let e = env();
     let mix = model_mix();
     let labels = [
@@ -36,10 +37,11 @@ fn main() {
         let w = build_workload(&spec, &mix);
         let mut row = vec![format!("{pct:.1}")];
         for label in labels {
-            row.push(usd(compute_cost_for(&w, label, &e)));
+            row.push(usd(compute_cost_for(&w, label, &e)?));
         }
         t.row_strings(row);
         eprintln!("  done baseline={pct}");
     }
     t.emit("fig07_baseline");
+    Ok(())
 }

@@ -1,9 +1,10 @@
 //! Figure 8: cost as the elastic pool's price premium over VMs varies from
 //! 1x to 100x (the Jan-Mar 2023 spot-price swing motivates this sweep).
 
+use cackle::RunError;
 use cackle_bench::*;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let labels = [
         "fixed_0",
         "fixed_500",
@@ -29,10 +30,11 @@ fn main() {
         let e = env().with_pool_premium(ratio);
         let mut row = vec![format!("{ratio:.0}")];
         for label in labels {
-            row.push(usd(compute_cost_for(&w, label, &e)));
+            row.push(usd(compute_cost_for(&w, label, &e)?));
         }
         t.row_strings(row);
         eprintln!("  done premium={ratio}");
     }
     t.emit("fig08_pool_cost");
+    Ok(())
 }

@@ -2,9 +2,10 @@
 //! Adds mean_1 alongside mean_2 - the paper highlights how their relative
 //! order flips with startup time while dynamic stays near optimal.
 
+use cackle::RunError;
 use cackle_bench::*;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let labels = [
         "fixed_0",
         "fixed_500",
@@ -32,10 +33,11 @@ fn main() {
         let e = env().with_vm_startup_s(startup);
         let mut row = vec![startup.to_string()];
         for label in labels {
-            row.push(usd(compute_cost_for(&w, label, &e)));
+            row.push(usd(compute_cost_for(&w, label, &e)?));
         }
         t.row_strings(row);
         eprintln!("  done startup={startup}");
     }
     t.emit("fig09_startup");
+    Ok(())
 }

@@ -4,10 +4,11 @@
 //! tasks each, Azure nodes as 20 tasks each, Alibaba CPUs as one task per
 //! CPU (scaled to keep the curve in range).
 
+use cackle::RunError;
 use cackle_bench::*;
 use cackle_workload::traces;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let e = env();
     let labels = ["fixed_0", "mean_1", "predictive", "dynamic", "oracle"];
     let cases = [
@@ -27,14 +28,15 @@ fn main() {
         ],
     );
     for (name, demand) in cases {
-        let base = trace_cost_for(&demand.samples, "fixed_0", &e);
+        let base = trace_cost_for(&demand.samples, "fixed_0", &e)?;
         let mut row = vec![name.to_string()];
         for label in labels {
-            let c = trace_cost_for(&demand.samples, label, &e);
+            let c = trace_cost_for(&demand.samples, label, &e)?;
             row.push(format!("{:.3}", c / base));
         }
         t.row_strings(row);
         eprintln!("  done {name}");
     }
     t.emit("fig10_real_workloads");
+    Ok(())
 }

@@ -7,12 +7,12 @@
 use cackle::delaying::run_delaying;
 use cackle::model::{build_workload, run_model, workload_curves};
 use cackle::oracle::{oracle_cost, oracle_cost_without_pool};
-use cackle::RunSpec;
+use cackle::{make_strategy, RunError, RunSpec};
 use cackle_bench::*;
 use cackle_workload::arrivals::WorkloadSpec;
 use cackle_workload::demand::percentile_f64;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let e = env();
     let spec = WorkloadSpec {
         num_queries: 2048,
@@ -33,7 +33,7 @@ fn main() {
         &["series", "vms", "p95_latency_s", "cost_usd"],
     );
     for slots in [60u32, 80, 100, 125, 150, 200, 250, 300, 400, 500] {
-        let r = run_delaying(&w, slots, &RunSpec::new().with_env(e.clone()));
+        let r = run_delaying(&w, slots, &RunSpec::new().with_env(e.clone()))?;
         t.row_strings(vec![
             "work_delaying_fixed".into(),
             slots.to_string(),
@@ -57,7 +57,8 @@ fn main() {
         usd(ocn.total()),
     ]);
     let rspec = RunSpec::new().with_env(e.clone()).with_compute_only(true);
-    let r = run_model(&w, &rspec);
+    let mut dynamic = make_strategy("dynamic", &e)?;
+    let r = run_model(&w, dynamic.as_mut(), &rspec)?;
     t.row_strings(vec![
         "cackle_dynamic".into(),
         "-".into(),
@@ -65,4 +66,5 @@ fn main() {
         usd(r.compute.total()),
     ]);
     t.emit("fig11_delaying");
+    Ok(())
 }

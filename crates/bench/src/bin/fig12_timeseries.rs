@@ -9,14 +9,15 @@
 
 use cackle::model::predict_cost_from_history;
 use cackle::system::run_system;
-use cackle::{AllocationSim, RunSpec, Telemetry};
+use cackle::{make_strategy, AllocationSim, RunError, RunSpec, Telemetry};
 use cackle_bench::*;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let telemetry = Telemetry::new();
     let spec = RunSpec::new().with_telemetry(&telemetry);
     let w = hour_workload(750, 12);
-    let r = run_system(&w, &spec);
+    let mut dynamic = make_strategy("dynamic", &spec.env)?;
+    let r = run_system(&w, dynamic.as_mut(), &spec)?;
     let series_u32 = |name: &str| -> Vec<u32> {
         telemetry
             .series(name)
@@ -95,4 +96,5 @@ fn main() {
     let delta = (predicted.total() - r.compute.total()).abs() / r.compute.total() * 100.0;
     println!("model vs measured delta: {delta:.1}% (paper reports 12%)");
     t.emit("fig12_validation");
+    Ok(())
 }

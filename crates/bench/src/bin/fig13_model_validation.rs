@@ -10,10 +10,10 @@
 use cackle::model::{run_model, workload_curves};
 use cackle::oracle::oracle_cost;
 use cackle::system::run_system;
-use cackle::{Env, RunSpec, Telemetry};
+use cackle::{make_strategy, Env, RunError, RunSpec, Telemetry};
 use cackle_bench::*;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let e = Env::default();
     let mut t = ResultTable::new(
         "Fig 13: cost per query ($): modeled vs real vs oracle (VM / pool split)",
@@ -34,10 +34,10 @@ fn main() {
         let model_spec = RunSpec::new()
             .with_compute_only(true)
             .with_telemetry(&model_t);
-        run_model(&w, &model_spec);
+        run_model(&w, make_strategy("dynamic", &e)?.as_mut(), &model_spec)?;
         let real_t = Telemetry::new();
         let real_spec = RunSpec::new().with_telemetry(&real_t);
-        run_system(&w, &real_spec);
+        run_system(&w, make_strategy("dynamic", &e)?.as_mut(), &real_spec)?;
         let curves = workload_curves(&w);
         let oc = oracle_cost(&curves.demand.samples, &e);
         t.row_strings(vec![
@@ -52,4 +52,5 @@ fn main() {
         eprintln!("  done n={n}");
     }
     t.emit("fig13_model_validation");
+    Ok(())
 }

@@ -10,13 +10,13 @@
 //! instrumentation.
 
 use cackle::system::run_system;
-use cackle::{RunSpec, Telemetry};
+use cackle::{make_strategy, RunError, RunSpec, Telemetry};
 use cackle_bench::*;
 use cackle_comparators::{
     run_databricks, run_redshift, DatabricksConfig, RedshiftConfig, WarehouseSize,
 };
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let mut latency = ResultTable::new(
         "Fig 14 (left): p90 query latency (s) vs number of queries",
         &[
@@ -44,8 +44,10 @@ fn main() {
     for n in [60usize, 250, 500, 750, 1000, 1500, 2000] {
         let w = hour_workload(n, 14);
         let sinks: Vec<Telemetry> = (0..6).map(|_| Telemetry::new()).collect();
+        let spec = RunSpec::new().with_telemetry(&sinks[0]);
+        let mut dynamic = make_strategy("dynamic", &spec.env)?;
         let runs = [
-            run_system(&w, &RunSpec::new().with_telemetry(&sinks[0])),
+            run_system(&w, dynamic.as_mut(), &spec)?,
             run_databricks(
                 &w,
                 &DatabricksConfig::fixed(WarehouseSize::Small, 5).with_telemetry(&sinks[1]),
@@ -78,4 +80,5 @@ fn main() {
     }
     latency.emit("fig14_latency");
     cost.emit("fig14_cost");
+    Ok(())
 }

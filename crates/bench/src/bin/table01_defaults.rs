@@ -2,10 +2,11 @@
 //! model. Regenerates the table directly from the defaults in code so any
 //! drift between documentation and implementation is visible.
 
+use cackle::RunError;
 use cackle_bench::ResultTable;
 use cackle_workload::arrivals::WorkloadSpec;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let spec = WorkloadSpec::default();
     let env = cackle_bench::env();
     let mut t = ResultTable::new(
@@ -52,4 +53,5 @@ fn main() {
         ),
     ]);
     t.emit("table01_environment");
+    Ok(())
 }

@@ -2,15 +2,17 @@
 //! and figure of the paper (see `DESIGN.md` §4 for the index).
 //!
 //! Each binary prints the figure's series as an aligned table and writes a
-//! CSV under `results/` so the numbers can be plotted or diffed.
+//! CSV under `results/` so the numbers can be plotted or diffed. The
+//! benches with a `--smoke` mode write under `target/smoke/` instead (see
+//! [`output_dir`]), so a CI smoke run never overwrites a full-size CSV.
 
 use cackle::model::{build_workload, QueryArrival};
-use cackle::Env;
+use cackle::{make_strategy, Env, RunError, RunSpec};
 use cackle_workload::arrivals::WorkloadSpec;
 use cackle_workload::profile::ProfileRef;
 use std::fmt::Display;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// The §5.1 analytical-model mix: all 25 evaluation queries at SF 100.
 pub fn model_mix() -> Vec<ProfileRef> {
@@ -100,9 +102,13 @@ impl ResultTable {
 
     /// Print the table and write `results/<name>.csv`.
     pub fn emit(&self, name: &str) {
+        self.emit_in(Path::new("results"), name);
+    }
+
+    /// Print the table and write `<dir>/<name>.csv`.
+    pub fn emit_in(&self, dir: &Path, name: &str) {
         println!("{}", self.render());
-        let dir = PathBuf::from("results");
-        if fs::create_dir_all(&dir).is_ok() {
+        if fs::create_dir_all(dir).is_ok() {
             let mut csv = self.headers.join(",") + "\n";
             for r in &self.rows {
                 csv.push_str(&r.join(","));
@@ -115,6 +121,16 @@ impl ResultTable {
                 println!("wrote {}\n", path.display());
             }
         }
+    }
+}
+
+/// Where a bench writes its artifacts: `results/` for a full-size run,
+/// `target/smoke/` for a `--smoke` run.
+pub fn output_dir(smoke: bool) -> PathBuf {
+    if smoke {
+        PathBuf::from("target").join("smoke")
+    } else {
+        PathBuf::from("results")
     }
 }
 
@@ -135,48 +151,48 @@ pub fn secs(v: f64) -> String {
 
 /// Compute-layer cost of one strategy label over a workload, where the
 /// special label `oracle` means the exact offline optimum.
-pub fn compute_cost_for(workload: &[QueryArrival], label: &str, env: &Env) -> f64 {
+pub fn compute_cost_for(
+    workload: &[QueryArrival],
+    label: &str,
+    env: &Env,
+) -> Result<f64, RunError> {
     use cackle::model::{run_model, workload_curves};
-    use cackle::RunSpec;
     if label == "oracle" {
         let curves = workload_curves(workload);
-        return cackle::oracle::oracle_cost(&curves.demand.samples, env).total();
+        return Ok(cackle::oracle::oracle_cost(&curves.demand.samples, env).total());
     }
-    let spec = RunSpec::new()
-        .with_env(env.clone())
-        .with_strategy(label)
-        .with_compute_only(true);
-    run_model(workload, &spec).compute.total()
+    let spec = RunSpec::new().with_env(env.clone()).with_compute_only(true);
+    let mut strategy = make_strategy(label, env)?;
+    Ok(run_model(workload, strategy.as_mut(), &spec)?
+        .compute
+        .total())
 }
 
 /// Compute-layer cost of a strategy over a bare demand curve (trace
 /// experiments), `oracle` handled as above.
-pub fn trace_cost_for(demand: &[u32], label: &str, env: &Env) -> f64 {
+pub fn trace_cost_for(demand: &[u32], label: &str, env: &Env) -> Result<f64, RunError> {
     use cackle::model::simulate_compute;
-    use cackle::RunSpec;
     if label == "oracle" {
-        return cackle::oracle::oracle_cost(demand, env).total();
+        return Ok(cackle::oracle::oracle_cost(demand, env).total());
     }
-    let spec = RunSpec::new()
-        .with_env(env.clone())
-        .with_strategy(label)
-        .with_compute_only(true);
-    let mut strategy = cackle::make_strategy(label, env);
-    simulate_compute(demand, strategy.as_mut(), &spec)
+    let spec = RunSpec::new().with_env(env.clone()).with_compute_only(true);
+    let mut strategy = make_strategy(label, env)?;
+    Ok(simulate_compute(demand, strategy.as_mut(), &spec)
         .compute
-        .total()
+        .total())
 }
 
 /// A minimal wall-clock micro-benchmark harness for the `benches/`
 /// binaries (`harness = false`): one warmup iteration, then `iters`
-/// timed runs, reporting min / mean / max per iteration.
+/// timed runs, reporting min / mean / max per iteration. Returns the
+/// warmup's result, so a fallible body can be checked with `?`.
 ///
 /// `cackle-bench` is the one crate allowed to read the host clock (the
 /// lint's L1 rule exempts it): benchmarks measure real elapsed time by
 /// definition and never feed results back into a simulation.
-pub fn bench_wall<R, F: FnMut() -> R>(name: &str, iters: u32, mut f: F) {
+pub fn bench_wall<R, F: FnMut() -> R>(name: &str, iters: u32, mut f: F) -> R {
     use std::time::Instant;
-    std::hint::black_box(f()); // warmup, and keep the work observable
+    let warmup = std::hint::black_box(f()); // keep the work observable
     let mut samples_us: Vec<u128> = Vec::with_capacity(iters as usize);
     for _ in 0..iters {
         let t0 = Instant::now();
@@ -187,6 +203,7 @@ pub fn bench_wall<R, F: FnMut() -> R>(name: &str, iters: u32, mut f: F) {
     let max = samples_us.iter().max().copied().unwrap_or(0);
     let mean = samples_us.iter().sum::<u128>() / samples_us.len().max(1) as u128;
     println!("{name:<44} min {min:>9} us  mean {mean:>9} us  max {max:>9} us  ({iters} iters)");
+    warmup
 }
 
 #[cfg(test)]

@@ -9,11 +9,15 @@
 //! The store is internally synchronized so it can be shared (`Arc`) between
 //! the coordinator and concurrently executing tasks. Keys live in a
 //! `BTreeMap` so listings and prefix deletes are deterministic (lint L3).
+//! Requests are only *counted* under the lock; each category is priced
+//! once, as count × unit price, when the ledger is read — so the bill is
+//! the same whatever order concurrent tasks reach the store in.
 
 use crate::ledger::{CostCategory, CostLedger};
 use crate::pricing::Pricing;
 use bytes_shim::Bytes;
 use cackle_faults::{op_key, FaultInjector, StoreOp};
+use cackle_telemetry::Telemetry;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -38,7 +42,7 @@ fn write_objects(
     l.write().unwrap_or_else(|e| e.into_inner())
 }
 
-fn lock_ledger(l: &Mutex<CostLedger>) -> MutexGuard<'_, CostLedger> {
+fn lock_usage(l: &Mutex<Usage>) -> MutexGuard<'_, Usage> {
     l.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -46,12 +50,27 @@ fn lock_faults(l: &Mutex<FaultInjector>) -> MutexGuard<'_, FaultInjector> {
     l.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Request and payload counters: integers, so the totals do not depend on
+/// the order requests arrive in.
+#[derive(Debug, Default)]
+struct Usage {
+    put_requests: u64,
+    get_requests: u64,
+    bytes_put: u64,
+    bytes_get: u64,
+    /// Requests already reported to `telemetry` by an earlier ledger
+    /// read, so reading twice never reports a request twice.
+    reported_puts: u64,
+    reported_gets: u64,
+    telemetry: Telemetry,
+}
+
 /// A shared, internally synchronized object store with request billing.
 #[derive(Debug)]
 pub struct ObjectStore {
     pricing: Pricing,
     objects: RwLock<BTreeMap<String, Bytes>>,
-    ledger: Mutex<CostLedger>,
+    usage: Mutex<Usage>,
     /// Fault plan consulted per request (disabled by default); see
     /// [`ObjectStore::inject_faults`].
     faults: Mutex<FaultInjector>,
@@ -63,15 +82,16 @@ impl ObjectStore {
         ObjectStore {
             pricing,
             objects: RwLock::new(BTreeMap::new()),
-            ledger: Mutex::new(CostLedger::new()),
+            usage: Mutex::new(Usage::default()),
             faults: Mutex::new(FaultInjector::disabled()),
         }
     }
 
     /// Report the store's request charges to `telemetry` under the `store`
-    /// component. Instrument before sharing the store with tasks.
-    pub fn instrument(&self, telemetry: &cackle_telemetry::Telemetry) {
-        lock_ledger(&self.ledger).instrument("store", telemetry);
+    /// component, at each [`ObjectStore::ledger`] read. Instrument before
+    /// sharing the store with tasks.
+    pub fn instrument(&self, telemetry: &Telemetry) {
+        lock_usage(&self.usage).telemetry = telemetry.clone();
     }
 
     /// Consult `faults` on every subsequent request: an injected
@@ -98,10 +118,9 @@ impl ObjectStore {
         let attempts = self.attempts(StoreOp::Put, key);
         let len = data.len() as u64;
         write_objects(&self.objects).insert(key.to_string(), Bytes::from(data));
-        let mut l = lock_ledger(&self.ledger);
-        l.charge_requests(CostCategory::S3Put, attempts, self.pricing.s3_put);
-        l.put_requests += attempts;
-        l.bytes_put += len;
+        let mut u = lock_usage(&self.usage);
+        u.put_requests += attempts;
+        u.bytes_put += len;
     }
 
     /// GET an object, billing one request per attempt. Returns `None`
@@ -111,16 +130,10 @@ impl ObjectStore {
     pub fn get(&self, key: &str) -> Option<Bytes> {
         let attempts = self.attempts(StoreOp::Get, key);
         let out = read_objects(&self.objects).get(key).cloned();
-        let mut l = lock_ledger(&self.ledger);
-        // Request billing is deliberately immediate, not barrier-buffered:
-        // the store ledger is lock-guarded, bills exactly once per attempt,
-        // and attempt counts come from keyed draws, so totals are
-        // order-independent (only dollar sums, never sequences, publish).
-        // cackle-lint: allow(L17)
-        l.charge_requests(CostCategory::S3Get, attempts, self.pricing.s3_get);
-        l.get_requests += attempts;
+        let mut u = lock_usage(&self.usage);
+        u.get_requests += attempts;
         if let Some(b) = &out {
-            l.bytes_get += b.len() as u64;
+            u.bytes_get += b.len() as u64;
         }
         out
     }
@@ -159,9 +172,40 @@ impl ObjectStore {
             .sum()
     }
 
-    /// Snapshot of the accumulated billing ledger.
+    /// The billing ledger so far: each request category priced once, as
+    /// count × unit price. Requests not yet reported go to the
+    /// instrumented telemetry sink at this point, priced the same way.
     pub fn ledger(&self) -> CostLedger {
-        lock_ledger(&self.ledger).clone()
+        let mut u = lock_usage(&self.usage);
+        let mut report = CostLedger::new();
+        report.instrument("store", &u.telemetry);
+        let unreported = [
+            (
+                CostCategory::S3Put,
+                u.put_requests - u.reported_puts,
+                self.pricing.s3_put,
+            ),
+            (
+                CostCategory::S3Get,
+                u.get_requests - u.reported_gets,
+                self.pricing.s3_get,
+            ),
+        ];
+        for (category, count, unit) in unreported {
+            if count > 0 {
+                report.charge_requests(category, count, unit);
+            }
+        }
+        u.reported_puts = u.put_requests;
+        u.reported_gets = u.get_requests;
+        let mut ledger = CostLedger::new();
+        ledger.charge_requests(CostCategory::S3Put, u.put_requests, self.pricing.s3_put);
+        ledger.charge_requests(CostCategory::S3Get, u.get_requests, self.pricing.s3_get);
+        ledger.put_requests = u.put_requests;
+        ledger.get_requests = u.get_requests;
+        ledger.bytes_put = u.bytes_put;
+        ledger.bytes_get = u.bytes_get;
+        ledger
     }
 }
 
@@ -182,6 +226,29 @@ mod tests {
         assert_eq!(l.bytes_get, 3);
         let expected = 5.0e-6 + 4.0e-7;
         assert!((l.total() - expected).abs() < 1e-15);
+    }
+
+    #[test]
+    fn requests_are_priced_once_and_reported_once() {
+        let t = Telemetry::new();
+        let s = ObjectStore::new(Pricing::default());
+        s.instrument(&t);
+        for i in 0..7 {
+            s.put(&format!("k{i}"), vec![1]);
+        }
+        s.get("k0");
+        // Nothing is reported before the ledger is read.
+        assert_eq!(t.cost("store", "s3_put"), 0.0);
+        let l = s.ledger();
+        assert_eq!(l.category(CostCategory::S3Put), 7.0 * 5.0e-6);
+        assert_eq!(t.cost("store", "s3_put"), l.category(CostCategory::S3Put));
+        assert_eq!(t.cost("store", "s3_get"), l.category(CostCategory::S3Get));
+        // A second read reports only what arrived since the first.
+        s.get("k1");
+        let again = s.ledger();
+        assert_eq!(again.get_requests, 2);
+        assert_eq!(t.cost("store", "s3_put"), l.category(CostCategory::S3Put));
+        assert!((t.cost("store", "s3_get") - again.category(CostCategory::S3Get)).abs() < 1e-18);
     }
 
     #[test]

@@ -6,8 +6,12 @@
 //! earliest-submitted query, stage barriers respected. It yields the
 //! cost/latency frontier that Figure 11 contrasts with Cackle's
 //! elastic-pool points.
+//!
+//! Entry point: [`run_delaying`]`(workload, slots, spec)` returns
+//! `Result<RunResult, RunError>`; the fixed fleet replaces a provisioning
+//! strategy, so it takes the slot count instead of one.
 
-use crate::model::QueryArrival;
+use crate::model::{check_profiles, QueryArrival};
 use crate::report::{ComputeCost, RunResult};
 use crate::spec::{RunError, RunSpec};
 use std::cmp::Reverse;
@@ -25,13 +29,9 @@ struct TaskKey {
 /// Tasks run to completion; a stage's tasks become ready when all upstream
 /// stages finish; ready tasks wait in a FIFO queue keyed by query arrival.
 /// The fleet is provisioned for the whole span, so cost is simply
-/// `slots × makespan` at the VM rate.
-pub fn run_delaying(workload: &[QueryArrival], slots: u32, spec: &RunSpec) -> RunResult {
-    try_run_delaying(workload, slots, spec).unwrap_or_else(|e| e.raise())
-}
-
-/// [`run_delaying`], reporting malformed inputs instead of panicking.
-pub fn try_run_delaying(
+/// `slots × makespan` at the VM rate. The spec, the slot count, and the
+/// workload are validated before any work.
+pub fn run_delaying(
     workload: &[QueryArrival],
     slots: u32,
     spec: &RunSpec,
@@ -43,6 +43,7 @@ pub fn try_run_delaying(
             value: 0.0,
         });
     }
+    check_profiles(workload)?;
     let env = &spec.env;
     let telemetry = spec.effective_telemetry();
     // Ready-task queue: (priority key, remaining duplicate count).
@@ -241,7 +242,7 @@ mod tests {
             at_s: 0,
             profile: two_stage(4, 10),
         }];
-        let r = run_delaying(&w, 100, &RunSpec::new());
+        let r = run_delaying(&w, 100, &RunSpec::new()).expect("valid run");
         assert_eq!(r.latencies, vec![20.0]);
     }
 
@@ -252,7 +253,7 @@ mod tests {
             at_s: 0,
             profile: two_stage(4, 10),
         }];
-        let r = run_delaying(&w, 1, &RunSpec::new());
+        let r = run_delaying(&w, 1, &RunSpec::new()).expect("valid run");
         assert_eq!(r.latencies, vec![50.0]);
         assert_eq!(r.duration_s, 50);
     }
@@ -269,7 +270,7 @@ mod tests {
                 profile: two_stage(2, 10),
             },
         ];
-        let r = run_delaying(&w, 2, &RunSpec::new());
+        let r = run_delaying(&w, 2, &RunSpec::new()).expect("valid run");
         // Query 0 takes both slots for 10 s, then its final stage runs with
         // query 1's scan; query 1 finishes later.
         assert!(r.latencies[0] < r.latencies[1]);
@@ -284,8 +285,8 @@ mod tests {
             })
             .collect();
         let spec = RunSpec::new();
-        let tight = run_delaying(&w, 4, &spec);
-        let roomy = run_delaying(&w, 64, &spec);
+        let tight = run_delaying(&w, 4, &spec).expect("valid run");
+        let roomy = run_delaying(&w, 64, &spec).expect("valid run");
         assert!(tight.latency_percentile(95.0) > roomy.latency_percentile(95.0));
         assert!(tight.compute.total() < roomy.compute.total());
     }
@@ -298,7 +299,7 @@ mod tests {
                 profile: two_stage(3, 7),
             })
             .collect();
-        let r = run_delaying(&w, 2, &RunSpec::new());
+        let r = run_delaying(&w, 2, &RunSpec::new()).expect("valid run");
         assert_eq!(r.latencies.len(), 50);
         assert!(r.latencies.iter().all(|&l| l >= 14.0));
     }
@@ -310,10 +311,13 @@ mod tests {
             at_s: 0,
             profile: two_stage(4, 10),
         }];
-        assert!(try_run_delaying(&w, 0, &RunSpec::new()).is_err());
+        assert!(matches!(
+            run_delaying(&w, 0, &RunSpec::new()),
+            Err(RunError::InvalidKnob { name: "slots", .. })
+        ));
         let t = Telemetry::new();
         let spec = RunSpec::new().with_telemetry(&t);
-        let r = run_delaying(&w, 2, &spec);
+        let r = run_delaying(&w, 2, &spec).expect("valid run");
         assert_eq!(t.counter("run.queries_total"), 1);
         assert!((t.cost("fleet", "vm_compute") - r.compute.vm_cost).abs() < 1e-12);
         assert_eq!(t.gauge("run.duration_seconds"), Some(r.duration_s as f64));

@@ -12,10 +12,7 @@ use crate::strategy::{FixedStrategy, MeanStrategy, PredictiveStrategy, Provision
 /// * `mean_Y` — 5-minute mean × Y (Y may be fractional)
 /// * `predictive` — 5-minute linear regression
 /// * `dynamic` — the multiplicative-weights meta-strategy (paper family)
-pub fn try_make_strategy(
-    label: &str,
-    env: &Env,
-) -> Result<Box<dyn ProvisioningStrategy>, RunError> {
+pub fn make_strategy(label: &str, env: &Env) -> Result<Box<dyn ProvisioningStrategy>, RunError> {
     if let Some(n) = label.strip_prefix("fixed_") {
         let vms: u32 = n
             .parse()
@@ -35,11 +32,6 @@ pub fn try_make_strategy(
     }
 }
 
-/// [`try_make_strategy`], panicking on a malformed label.
-pub fn make_strategy(label: &str, env: &Env) -> Box<dyn ProvisioningStrategy> {
-    try_make_strategy(label, env).unwrap_or_else(|e| e.raise())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,37 +43,22 @@ mod tests {
             "fixed_0",
             "fixed_500",
             "mean_1",
+            "mean_1.5",
             "mean_2",
             "predictive",
             "dynamic",
         ] {
-            let s = make_strategy(label, &env);
+            let s = make_strategy(label, &env).expect("valid label");
             assert_eq!(s.name(), label, "label {label}");
         }
     }
 
     #[test]
-    fn fractional_mean() {
-        let s = make_strategy("mean_1.5", &Env::default());
-        assert_eq!(s.name(), "mean_1.5");
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown strategy")]
-    fn unknown_label_panics() {
-        make_strategy("nonsense", &Env::default());
-    }
-
-    #[test]
-    fn try_variant_reports_errors() {
+    fn malformed_labels_are_errors() {
         let env = Env::default();
-        assert!(try_make_strategy("dynamic", &env).is_ok());
         for bad in ["nonsense", "fixed_x", "mean_", "fixed_-1"] {
             assert!(
-                matches!(
-                    try_make_strategy(bad, &env),
-                    Err(RunError::UnknownStrategy(_))
-                ),
+                matches!(make_strategy(bad, &env), Err(RunError::UnknownStrategy(_))),
                 "label {bad}"
             );
         }

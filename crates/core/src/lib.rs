@@ -19,6 +19,18 @@
 //! * [`system`] — the full event-driven Cackle system: coordinator,
 //!   VM fleet + elastic pool, shuffle placement with S3 fallback, runtime
 //!   noise — the "real execution" side of Figures 12–14.
+//! * [`live`] — the same coordinator running real `cackle-engine` plans.
+//!
+//! One way to run a workload: one fallible entry per runner, each taking
+//! its strategy as an argument and validating spec and workload first.
+//!
+//! ```text
+//! let mut strategy = make_strategy("dynamic", &spec.env)?;
+//! run_model(&workload, strategy.as_mut(), &spec)?;
+//! run_system(&workload, strategy.as_mut(), &spec)?;
+//! run_live(&queries, &catalog, strategy.as_mut(), &spec)?;
+//! run_delaying(&workload, slots, &spec)?;
+//! ```
 
 pub mod allocsim;
 pub mod config;
@@ -39,12 +51,14 @@ pub mod transport;
 
 pub use allocsim::{cost_of_target_history, AllocationSim};
 pub use config::Env;
-pub use delaying::{run_delaying, try_run_delaying};
-pub use factory::{make_strategy, try_make_strategy};
+pub use delaying::run_delaying;
+pub use factory::make_strategy;
 pub use history::WorkloadHistory;
-pub use live::{run_live, run_live_collect, run_live_with, try_run_live, LiveQuery};
+pub use live::{run_live, LiveQuery};
+#[doc(hidden)]
+pub use live::{run_live_collect, run_live_with};
 pub use meta::{FamilyConfig, MetaStrategy};
-pub use model::{build_workload, run_model, run_model_with, try_run_model, QueryArrival};
+pub use model::{build_workload, run_model, QueryArrival};
 pub use oracle::{oracle_cost, oracle_cost_without_pool, OracleCost};
 pub use prices::PriceTimeline;
 pub use report::{ComputeCost, RunResult, ShuffleCost, Timeseries};
@@ -52,7 +66,7 @@ pub use spec::{RunError, RunSpec};
 pub use strategy::{
     FixedStrategy, MeanStrategy, PercentileStrategy, PredictiveStrategy, ProvisioningStrategy,
 };
-pub use system::{run_system, run_system_with, try_run_system, try_run_system_with};
+pub use system::run_system;
 pub use transport::HybridShuffle;
 
 /// Re-export of the observability crate so downstream users can construct

@@ -13,25 +13,24 @@
 //! same coordinator/compute/shuffle split, with the cloud simulated and
 //! the relational work real.
 //!
-//! Entry points mirror the other runners: [`run_live`] takes a
-//! [`RunSpec`] and returns the shared [`RunResult`]; [`run_live_collect`]
-//! additionally gathers each query's output batches.
+//! Entry point, like the other runners: [`run_live`]`(workload, catalog,
+//! strategy, spec)` returns `Result<RunResult, RunError>`, validating the
+//! spec and every plan's stage graph before any task executes.
 //!
 //! Fault injection (`crates/faults`): the spec's plan drives straggler
 //! slowdowns, pool invoke failures/throttles (bounded retry with
 //! deterministic backoff; exhaustion surfaces
-//! [`RunError::FaultUnrecovered`] through [`try_run_live`]), object-store
+//! [`RunError::FaultUnrecovered`] from [`run_live`]), object-store
 //! transient errors (retried and billed inside [`ObjectStore`]), and
 //! transport drops (recovered by S3 fallback on writes and bounded
 //! retries on reads). Spot reclaims and duplicate launches are
 //! system-runner-only: live tasks execute eagerly at launch, so there is
 //! no mid-flight copy to reclaim or duplicate.
 
-use crate::factory::try_make_strategy;
 use crate::history::WorkloadHistory;
 use crate::report::{ComputeCost, RunResult, ShuffleCost, Timeseries};
 use crate::shuffleprov::ShuffleProvisioner;
-use crate::spec::{RunError, RunSpec};
+use crate::spec::{check_stage_graph, RunError, RunSpec};
 use crate::strategy::ProvisioningStrategy;
 use crate::transport::HybridShuffle;
 use cackle_cloud::{
@@ -87,116 +86,58 @@ struct QueryState {
     stages_left: usize,
 }
 
-/// Check every plan can execute: at least one stage, at least one task per
-/// stage, dependency indices in range, acyclic stage graph.
-fn validate_live_workload(workload: &[LiveQuery]) -> Result<(), RunError> {
+/// Check every plan can execute: the stage-graph invariants of
+/// `StageDag::new` (see [`check_stage_graph`]).
+fn check_plans(workload: &[LiveQuery]) -> Result<(), RunError> {
     for (qi, q) in workload.iter().enumerate() {
-        let n = q.plan.stages.len();
-        if n == 0 {
-            return Err(RunError::InvalidWorkload(format!(
-                "query {qi} has no stages"
-            )));
-        }
-        let deps: Vec<Vec<usize>> = q.plan.stages.iter().map(|s| s.dependencies()).collect();
-        for (si, stage) in q.plan.stages.iter().enumerate() {
-            if stage.tasks == 0 {
-                return Err(RunError::InvalidWorkload(format!(
-                    "query {qi} stage {si} has zero tasks"
-                )));
-            }
-            for &d in &deps[si] {
-                if d >= n {
-                    return Err(RunError::InvalidWorkload(format!(
-                        "query {qi} stage {si} depends on missing stage {d}"
-                    )));
-                }
-            }
-        }
-        let mut indegree: Vec<usize> = deps.iter().map(|d| d.len()).collect();
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut processed = 0usize;
-        while let Some(finished) = ready.pop() {
-            processed += 1;
-            for si in 0..n {
-                if deps[si].contains(&finished) {
-                    indegree[si] = indegree[si].saturating_sub(1);
-                    if indegree[si] == 0 {
-                        ready.push(si);
-                    }
-                }
-            }
-        }
-        if processed < n {
-            return Err(RunError::InvalidWorkload(format!(
-                "query {qi} has a stage dependency cycle"
-            )));
-        }
+        check_stage_graph(
+            qi,
+            q.plan.stages.iter().map(|s| (s.tasks, s.dependencies())),
+        )?;
     }
     Ok(())
 }
 
-/// Execute a live workload; the strategy comes from `spec.strategy`.
-/// Panics on a malformed spec or workload — use [`try_run_live`] to handle
-/// those gracefully.
-pub fn run_live(workload: &[LiveQuery], catalog: &Catalog, spec: &RunSpec) -> RunResult {
-    try_run_live(workload, catalog, spec).unwrap_or_else(|e| e.raise())
-}
-
-/// [`run_live`], reporting malformed specs and workloads instead of
-/// panicking.
-pub fn try_run_live(
+/// Execute a live workload under `strategy`. The spec and every plan are
+/// validated before any task executes; an injected fault that exhausts
+/// its recovery bound aborts the run with [`RunError::FaultUnrecovered`].
+pub fn run_live(
     workload: &[LiveQuery],
     catalog: &Catalog,
+    strategy: &mut dyn ProvisioningStrategy,
     spec: &RunSpec,
 ) -> Result<RunResult, RunError> {
-    spec.validate()?;
-    validate_live_workload(workload)?;
-    let mut strategy = try_make_strategy(&spec.strategy, &spec.env)?;
-    run_live_inner(workload, catalog, strategy.as_mut(), spec, false).map(|(run, _)| run)
+    run_live_inner(workload, catalog, strategy, spec, false).map(|(run, _)| run)
 }
 
-/// Execute a live workload under an explicitly constructed strategy.
-/// Returns the default (empty) result on a malformed spec/workload or an
-/// unrecovered injected fault — use [`try_run_live`] to observe those as
-/// errors.
+/// Infallible forward to the live runner, kept only for the repository
+/// benchmark; panics on a run error.
+#[doc(hidden)]
 pub fn run_live_with(
     workload: &[LiveQuery],
     catalog: &Catalog,
     strategy: &mut dyn ProvisioningStrategy,
     spec: &RunSpec,
 ) -> RunResult {
-    let outcome = spec
-        .validate()
-        .and_then(|()| validate_live_workload(workload));
-    debug_assert!(outcome.is_ok(), "invalid live run: {outcome:?}");
-    if outcome.is_err() {
-        return RunResult::default();
-    }
     run_live_inner(workload, catalog, strategy, spec, false)
-        .map(|(run, _)| run)
-        .unwrap_or_default()
+        .map_or_else(|e| e.raise(), |(run, _)| run)
 }
 
-/// [`run_live_with`], additionally gathering each query's final output
-/// batches (memory-heavy for big workloads).
+/// Like [`run_live_with`], also returning each query's final output
+/// batches; kept only for the repository benchmark and the result-check
+/// tests. Panics on a run error.
+#[doc(hidden)]
 pub fn run_live_collect(
     workload: &[LiveQuery],
     catalog: &Catalog,
     strategy: &mut dyn ProvisioningStrategy,
     spec: &RunSpec,
 ) -> (RunResult, Vec<Vec<Batch>>) {
-    let outcome = spec
-        .validate()
-        .and_then(|()| validate_live_workload(workload));
-    debug_assert!(outcome.is_ok(), "invalid live run: {outcome:?}");
-    if outcome.is_err() {
-        return (RunResult::default(), vec![Vec::new(); workload.len()]);
-    }
-    run_live_inner(workload, catalog, strategy, spec, true)
-        .unwrap_or_else(|_| (RunResult::default(), vec![Vec::new(); workload.len()]))
+    run_live_inner(workload, catalog, strategy, spec, true).unwrap_or_else(|e| e.raise())
 }
 
-/// The shared event loop behind every live entry point.
+/// The live runner: validation, then the event loop. `keep_results`
+/// gathers each query's output batches (memory-heavy for big workloads).
 ///
 /// Single-process: engine tasks run at event-processing time — across
 /// `spec.workers` threads via the deterministic stage executor (their
@@ -209,6 +150,8 @@ fn run_live_inner(
     spec: &RunSpec,
     keep_results: bool,
 ) -> Result<(RunResult, Vec<Vec<Batch>>), RunError> {
+    spec.validate()?;
+    check_plans(workload)?;
     let env = &spec.env;
     let pricing = env.pricing.clone();
     let telemetry = spec.effective_telemetry();
@@ -596,10 +539,9 @@ mod tests {
         let w: Vec<LiveQuery> = (0..20)
             .flat_map(|i| live_workload(&[("q06", i * 30)]))
             .collect();
-        let spec = RunSpec::new()
-            .with_strategy("fixed_4")
-            .with_rows_per_task_second(2_000.0);
-        let r = run_live(&w, &catalog, &spec);
+        let spec = RunSpec::new().with_rows_per_task_second(2_000.0);
+        let mut strategy = FixedStrategy { vms: 4 };
+        let r = run_live(&w, &catalog, &mut strategy, &spec).expect("valid run");
         assert!(r.compute.vm_seconds > 0.0, "VMs should run tasks");
         assert!(r.compute.pool_seconds > 0.0, "cold start uses the pool");
     }
@@ -611,10 +553,10 @@ mod tests {
         let w = live_workload(&[("q06", 0), ("q01", 3)]);
         let t = Telemetry::new();
         let spec = RunSpec::new()
-            .with_strategy("fixed_0")
             .with_rows_per_task_second(5_000.0)
             .with_telemetry(&t);
-        let r = run_live(&w, &catalog, &spec);
+        let mut strategy = FixedStrategy { vms: 0 };
+        let r = run_live(&w, &catalog, &mut strategy, &spec).expect("valid run");
         // Engine tasks reported through the threaded TaskContext.
         assert!(t.counter("engine.tasks_total") > 0);
         // Store request charges attributed to the store component.

@@ -6,14 +6,18 @@
 //! strategy-independent. The model then drives the provisioning strategy
 //! and fleet simulation over that curve, tracking compute cost, shuffle
 //! volume, and per-request shuffle-layer cost exactly as §5.6 describes.
+//!
+//! Entry points: [`run_model`] runs a workload of query profiles under a
+//! strategy; [`simulate_compute`] and [`simulate_compute_with_timeline`]
+//! drive a strategy over a bare demand curve (the real-trace experiments,
+//! where no profiles exist).
 
 use crate::allocsim::AllocationSim;
 use crate::config::Env;
-use crate::factory::try_make_strategy;
 use crate::history::WorkloadHistory;
 use crate::report::{ComputeCost, RunResult, ShuffleCost, Timeseries};
 use crate::shuffleprov::ShuffleProvisioner;
-use crate::spec::{RunError, RunSpec};
+use crate::spec::{check_stage_graph, RunError, RunSpec};
 use crate::strategy::ProvisioningStrategy;
 use cackle_prng::Pcg32;
 use cackle_telemetry::Telemetry;
@@ -94,37 +98,42 @@ pub fn workload_curves(workload: &[QueryArrival]) -> WorkloadCurves {
     c
 }
 
-/// Run the analytical model for a workload; the strategy comes from
-/// `spec.strategy`. Panics on a malformed label — use [`try_run_model`]
-/// to handle that gracefully.
-pub fn run_model(workload: &[QueryArrival], spec: &RunSpec) -> RunResult {
-    try_run_model(workload, spec).unwrap_or_else(|e| e.raise())
+/// Check every profile can be replayed: the stage-graph invariants of
+/// `QueryProfile::new` (see [`check_stage_graph`]) plus `task_seconds > 0`
+/// on every stage.
+pub(crate) fn check_profiles(workload: &[QueryArrival]) -> Result<(), RunError> {
+    for (qi, q) in workload.iter().enumerate() {
+        let stages = &q.profile.stages;
+        check_stage_graph(qi, stages.iter().map(|s| (s.tasks, &s.deps)))?;
+        if let Some(si) = stages.iter().position(|s| s.task_seconds == 0) {
+            return Err(RunError::InvalidWorkload(format!(
+                "query {qi} stage {si} has zero task_seconds"
+            )));
+        }
+    }
+    Ok(())
 }
 
-/// [`run_model`], reporting malformed specs instead of panicking.
-pub fn try_run_model(workload: &[QueryArrival], spec: &RunSpec) -> Result<RunResult, RunError> {
-    spec.validate()?;
-    let mut strategy = try_make_strategy(&spec.strategy, &spec.env)?;
-    Ok(run_model_with(workload, strategy.as_mut(), spec))
-}
-
-/// Run the analytical model under an explicitly constructed strategy
-/// (experiments that sweep custom [`MetaStrategy`](crate::MetaStrategy)
-/// families pass their own instance).
-pub fn run_model_with(
+/// Run the analytical model for a workload under `strategy` (a label's
+/// strategy from [`make_strategy`](crate::make_strategy), or a custom
+/// instance such as a swept [`MetaStrategy`](crate::MetaStrategy)
+/// family). The spec and the workload are validated before any work.
+pub fn run_model(
     workload: &[QueryArrival],
     strategy: &mut dyn ProvisioningStrategy,
     spec: &RunSpec,
-) -> RunResult {
+) -> Result<RunResult, RunError> {
+    spec.validate()?;
+    check_profiles(workload)?;
     let curves = workload_curves(workload);
-    let environment = spec.effective_faults().environment;
+    let environment = &spec.faults.environment;
     let mut result = if environment.market_volatility > 0.0 {
         // Market motion: price compute under the same compiled schedule
         // the system runner bills through, translated into model-layer
         // rate steps (VM rides the spot market, the pool price holds).
         // Heterogeneity and reclaim storms are execution-layer effects
         // the analytical model deliberately does not see (DESIGN §14).
-        let market = cackle_faults::PriceTimeline::compile(&environment, spec.seed);
+        let market = cackle_faults::PriceTimeline::compile(environment, spec.seed);
         let horizon = curves.demand.len() as u64 + 7200;
         let timeline = crate::prices::PriceTimeline::from_market(&spec.env, &market, horizon);
         simulate_compute_with_timeline(&curves.demand.samples, strategy, spec, &timeline)
@@ -159,7 +168,7 @@ pub fn run_model_with(
         .map(|q| q.profile.critical_path_seconds() as f64)
         .collect();
     record_query_telemetry(&result.telemetry, workload);
-    result
+    Ok(result)
 }
 
 /// Record per-query telemetry: arrival→completion spans and the latency
@@ -399,7 +408,8 @@ mod tests {
             at_s: 0,
             profile: profile(10, 60),
         }];
-        let r = run_model(&w, &RunSpec::new().with_strategy("fixed_0"));
+        let mut s = FixedStrategy { vms: 0 };
+        let r = run_model(&w, &mut s, &RunSpec::new()).expect("valid run");
         assert_eq!(r.compute.vm_seconds, 0.0);
         // 10 tasks × 60 s + 1 × 1 s.
         assert!((r.compute.pool_seconds - 601.0).abs() < 1e-9);
@@ -414,7 +424,7 @@ mod tests {
             profile: profile(10, 600),
         }];
         let mut s = FixedStrategy { vms: 10 };
-        let r = run_model_with(&w, &mut s, &RunSpec::new());
+        let r = run_model(&w, &mut s, &RunSpec::new()).expect("valid run");
         // VMs take 180 s to start, so the first 180 s of work ran on the
         // pool; the remaining ~420 s ran on the started VMs.
         assert!((r.compute.pool_seconds - 10.0 * 180.0).abs() < 20.0);
@@ -431,7 +441,7 @@ mod tests {
             profile: profile(10, 60),
         }];
         let mut s = FixedStrategy { vms: 10 };
-        let r = run_model_with(&w, &mut s, &RunSpec::new());
+        let r = run_model(&w, &mut s, &RunSpec::new()).expect("valid run");
         assert_eq!(r.compute.vm_seconds, 0.0);
         assert!((r.compute.pool_seconds - 601.0).abs() < 1e-9);
     }
@@ -444,7 +454,7 @@ mod tests {
         }];
         let mut s = FixedStrategy { vms: 2 };
         let spec = RunSpec::new().with_timeseries(true).with_compute_only(true);
-        let r = run_model_with(&w, &mut s, &spec);
+        let r = run_model(&w, &mut s, &spec).expect("valid run");
         let ts = r.timeseries.expect("requested");
         assert_eq!(ts.demand.len(), ts.target.len());
         assert_eq!(ts.demand[6], 3);
@@ -466,7 +476,7 @@ mod tests {
             at_s: 0,
             profile: profile(4, 600),
         }];
-        let r = run_model(&w, &RunSpec::new().with_strategy("fixed_0"));
+        let r = run_model(&w, &mut FixedStrategy { vms: 0 }, &RunSpec::new()).expect("valid run");
         assert!(r.shuffle.node_cost > 0.0);
         assert_eq!(r.shuffle.puts, 0);
         assert_eq!(r.shuffle.gets, 0);
@@ -480,7 +490,7 @@ mod tests {
             at_s: 0,
             profile: profile(4, 30),
         }];
-        let r = run_model(&w, &RunSpec::new().with_strategy("fixed_0"));
+        let r = run_model(&w, &mut FixedStrategy { vms: 0 }, &RunSpec::new()).expect("valid run");
         assert_eq!(r.shuffle.puts, 8);
         assert_eq!(r.shuffle.gets, 4);
         assert!(r.shuffle.s3_put_cost > 0.0);
@@ -550,7 +560,7 @@ mod tests {
         let env = Env::default();
         let mut s = FixedStrategy { vms: 4 };
         let spec = RunSpec::new().with_timeseries(true).with_compute_only(true);
-        let r = run_model_with(&w, &mut s, &spec);
+        let r = run_model(&w, &mut s, &spec).expect("valid run");
         let ts = r.timeseries.as_ref().expect("ts");
         let predicted = predict_cost_from_history(&ts.demand, &ts.target, &env);
         // The replay stops at the demand horizon while the run winds down
@@ -562,32 +572,14 @@ mod tests {
     }
 
     #[test]
-    fn try_run_model_rejects_bad_specs() {
-        let w = vec![QueryArrival {
-            at_s: 0,
-            profile: profile(2, 5),
-        }];
-        let bad_label = RunSpec::new().with_strategy("bogus");
-        assert!(matches!(
-            try_run_model(&w, &bad_label),
-            Err(RunError::UnknownStrategy(_))
-        ));
-        let bad_knob = RunSpec::new().with_pool_slowdown(f64::INFINITY);
-        assert!(matches!(
-            try_run_model(&w, &bad_knob),
-            Err(RunError::InvalidKnob { .. })
-        ));
-    }
-
-    #[test]
     fn telemetry_attributes_model_costs() {
         let w = vec![QueryArrival {
             at_s: 0,
             profile: profile(4, 30),
         }];
         let t = Telemetry::new();
-        let spec = RunSpec::new().with_strategy("fixed_0").with_telemetry(&t);
-        let r = run_model(&w, &spec);
+        let spec = RunSpec::new().with_telemetry(&t);
+        let r = run_model(&w, &mut FixedStrategy { vms: 0 }, &spec).expect("valid run");
         // Compute cost mirrored into the registry, split by component.
         let pool = t.cost("pool", "elastic_pool");
         assert!((pool - r.compute.pool_cost).abs() < 1e-12);

@@ -1,23 +1,30 @@
-//! The unified run specification shared by every entry point.
+//! The unified run specification shared by every runner.
 //!
 //! Historically each runner grew its own knob struct (`ModelOptions`,
 //! `SystemConfig`, `LiveConfig`) with overlapping fields and inconsistent
 //! defaults. [`RunSpec`] replaces all three: one builder covering the
-//! environment, the strategy label, the noise knobs, and the telemetry
-//! sink, accepted by [`run_model`](crate::run_model),
-//! [`run_system`](crate::run_system), [`run_live`](crate::run_live) and
-//! [`run_delaying`](crate::delaying::run_delaying) alike. Knobs a given
-//! runner does not use are simply ignored (the analytical model has no
-//! spot interruptions; the live engine has no duration jitter), so one
-//! spec can drive a model/system/live comparison without translation.
+//! environment, the noise knobs, the fault plan, and the telemetry sink,
+//! accepted by every runner alike:
 //!
-//! Fallible validation lives in [`RunError`]; the `try_*` runner variants
-//! return it instead of panicking on malformed input.
+//! * [`run_model`](crate::run_model)`(workload, strategy, spec)`
+//! * [`run_system`](crate::run_system)`(workload, strategy, spec)`
+//! * [`run_live`](crate::run_live)`(workload, catalog, strategy, spec)`
+//! * [`run_delaying`](crate::run_delaying)`(workload, slots, spec)`
+//!
+//! The strategy is always an argument — build one from a paper label
+//! with [`make_strategy`](crate::make_strategy)`(label, &spec.env)?` or
+//! pass any [`ProvisioningStrategy`](crate::ProvisioningStrategy)
+//! instance. Knobs a given runner does not use are simply ignored (the
+//! analytical model has no spot reclaims; the live engine has no
+//! duration jitter), so one spec can drive a model/system/live
+//! comparison without translation.
+//!
+//! Every runner validates the spec and the workload before doing any
+//! work and returns [`RunError`] instead of panicking or returning an
+//! empty result.
 
 use crate::config::Env;
-use cackle_faults::{
-    EnvironmentSpec, FaultError, FaultInjector, FaultPlan, FaultSpec, RecoveryPolicy,
-};
+use cackle_faults::{FaultError, FaultInjector, FaultPlan, FaultSpec, RecoveryPolicy};
 use cackle_telemetry::Telemetry;
 use std::error::Error;
 use std::fmt;
@@ -27,21 +34,18 @@ use std::fmt;
 /// Construct with [`RunSpec::new`] and chain `with_*` builders:
 ///
 /// ```
-/// use cackle::RunSpec;
-/// let spec = RunSpec::new()
-///     .with_strategy("mean_2")
-///     .with_seed(7)
-///     .with_timeseries(true);
-/// assert_eq!(spec.strategy, "mean_2");
+/// use cackle::{make_strategy, run_model, QueryArrival, RunError, RunSpec};
+/// let spec = RunSpec::new().with_seed(7).with_timeseries(true);
+/// let mut strategy = make_strategy("mean_2", &spec.env)?;
+/// let workload: Vec<QueryArrival> = Vec::new();
+/// let result = run_model(&workload, strategy.as_mut(), &spec)?;
+/// assert_eq!(result.strategy, "mean_2");
+/// # Ok::<(), RunError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct RunSpec {
     /// Cloud prices and timing observable by strategies.
     pub env: Env,
-    /// Strategy label (`fixed_N`, `mean_Y`, `predictive`, `dynamic`)
-    /// parsed by [`crate::factory::make_strategy`]. Runners with a
-    /// `_with` variant accept an explicit strategy instance instead.
-    pub strategy: String,
     /// Seed for all run-local randomness (noise, interruptions, tie-breaks).
     pub seed: u64,
     /// Elastic-pool slowdown factor versus a VM slot (§7.1: pool tasks run
@@ -49,8 +53,6 @@ pub struct RunSpec {
     pub pool_slowdown: f64,
     /// Relative task-duration jitter applied by the system runner.
     pub duration_jitter: f64,
-    /// Spot interruption rate, events per VM-hour (system runner only).
-    pub spot_interruptions_per_vm_hour: f64,
     /// Record per-second demand/target/active series into the result.
     pub record_timeseries: bool,
     /// Model runner only: skip the shuffle model, compute costs only.
@@ -58,17 +60,13 @@ pub struct RunSpec {
     /// Live runner only: task throughput used to convert row counts into
     /// simulated work seconds.
     pub rows_per_task_second: f64,
-    /// Fault injection plan spec (see `crates/faults`). All-zero by
-    /// default, which compiles to a guaranteed no-op; the legacy
-    /// [`RunSpec::spot_interruptions_per_vm_hour`] knob folds into it
-    /// (see [`RunSpec::effective_faults`]).
+    /// Fault injection plan spec (see `crates/faults`), including spot
+    /// reclaims (`faults.spot_reclaims_per_vm_hour`, system runner only)
+    /// and the environment model (`faults.environment`: per-VM
+    /// heterogeneity, spot-market motion, reclaim storms, a second
+    /// region). All-zero by default, which compiles to a guaranteed
+    /// no-op.
     pub faults: FaultSpec,
-    /// Environmental diversity: per-VM performance heterogeneity,
-    /// spot-market motion, reclaim storms, and a second region (see
-    /// `cackle_faults::EnvironmentSpec`). Zero intensity by default —
-    /// inert. Folds into [`RunSpec::effective_faults`] the same way the
-    /// legacy spot knob does (an explicit `faults.environment` wins).
-    pub environment: EnvironmentSpec,
     /// How runners recover from injected faults: bounded retry with
     /// deterministic backoff, straggler duplicate-launch.
     pub recovery: RecoveryPolicy,
@@ -87,16 +85,13 @@ impl Default for RunSpec {
     fn default() -> Self {
         RunSpec {
             env: Env::default(),
-            strategy: "dynamic".to_string(),
             seed: 42,
             pool_slowdown: 1.25,
             duration_jitter: 0.08,
-            spot_interruptions_per_vm_hour: 0.0,
             record_timeseries: false,
             compute_only: false,
             rows_per_task_second: 400_000.0,
             faults: FaultSpec::default(),
-            environment: EnvironmentSpec::default(),
             recovery: RecoveryPolicy::default(),
             telemetry: Telemetry::disabled(),
             workers: 1,
@@ -105,7 +100,7 @@ impl Default for RunSpec {
 }
 
 impl RunSpec {
-    /// A spec with the paper's Table 1 defaults and the `dynamic` strategy.
+    /// A spec with the paper's Table 1 defaults.
     pub fn new() -> Self {
         Self::default()
     }
@@ -113,12 +108,6 @@ impl RunSpec {
     /// Set the pricing/timing environment.
     pub fn with_env(mut self, env: Env) -> Self {
         self.env = env;
-        self
-    }
-
-    /// Set the strategy label.
-    pub fn with_strategy(mut self, label: impl Into<String>) -> Self {
-        self.strategy = label.into();
         self
     }
 
@@ -137,12 +126,6 @@ impl RunSpec {
     /// Set the relative task-duration jitter.
     pub fn with_duration_jitter(mut self, jitter: f64) -> Self {
         self.duration_jitter = jitter;
-        self
-    }
-
-    /// Set the spot interruption rate (events per VM-hour).
-    pub fn with_spot_interruptions(mut self, per_vm_hour: f64) -> Self {
-        self.spot_interruptions_per_vm_hour = per_vm_hour;
         self
     }
 
@@ -172,16 +155,10 @@ impl RunSpec {
         self
     }
 
-    /// Set the fault injection plan spec.
+    /// Set the fault injection plan spec (spot reclaims and the
+    /// environment model included).
     pub fn with_faults(mut self, faults: FaultSpec) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Set the environment spec (heterogeneity, market motion, reclaim
-    /// storms, second region).
-    pub fn with_environment(mut self, environment: EnvironmentSpec) -> Self {
-        self.environment = environment;
         self
     }
 
@@ -199,30 +176,15 @@ impl RunSpec {
         self
     }
 
-    /// The fault spec runners actually compile: [`RunSpec::faults`] with
-    /// the legacy spot-interruption knob and [`RunSpec::environment`]
-    /// folded in (the explicit fault spec wins when both are set).
-    pub fn effective_faults(&self) -> FaultSpec {
-        let mut f = self.faults.clone();
-        if f.spot_reclaims_per_vm_hour == 0.0 {
-            f.spot_reclaims_per_vm_hour = self.spot_interruptions_per_vm_hour;
-        }
-        if f.environment.is_zero() && !self.environment.is_zero() {
-            f.environment = self.environment.clone();
-        }
-        f
-    }
-
-    /// Compile the effective fault spec into an injector seeded from
+    /// Compile [`RunSpec::faults`] into an injector seeded from
     /// [`RunSpec::seed`] and instrumented on `telemetry`. An all-zero
     /// spec yields a disabled handle, keeping the no-fault path
     /// bit-identical to a run without the subsystem.
     pub fn fault_injector(&self, telemetry: &Telemetry) -> Result<FaultInjector, RunError> {
-        let faults = self.effective_faults();
-        if faults.is_zero() {
+        if self.faults.is_zero() {
             return Ok(FaultInjector::disabled());
         }
-        let plan = FaultPlan::compile(&faults, self.seed)?;
+        let plan = FaultPlan::compile(&self.faults, self.seed)?;
         Ok(FaultInjector::new(plan, self.recovery).instrumented(telemetry))
     }
 
@@ -242,14 +204,9 @@ impl RunSpec {
 
     /// Check every numeric knob for finiteness and range.
     pub fn validate(&self) -> Result<(), RunError> {
-        let checks: [(&'static str, f64, f64); 4] = [
+        let checks: [(&'static str, f64, f64); 3] = [
             ("pool_slowdown", self.pool_slowdown, 1.0),
             ("duration_jitter", self.duration_jitter, 0.0),
-            (
-                "spot_interruptions_per_vm_hour",
-                self.spot_interruptions_per_vm_hour,
-                0.0,
-            ),
             ("rows_per_task_second", self.rows_per_task_second, 1.0),
         ];
         for (name, value, min) in checks {
@@ -257,17 +214,13 @@ impl RunSpec {
                 return Err(RunError::InvalidKnob { name, value });
             }
         }
-        // Validate the spec's own environment knob even when an
-        // explicit `faults.environment` wins the fold — a malformed
-        // knob should never validate merely because it is shadowed.
-        self.environment.validate()?;
-        self.effective_faults().validate()?;
+        self.faults.validate()?;
         self.recovery.validate()?;
         Ok(())
     }
 }
 
-/// Why a `try_*` runner refused a spec or workload.
+/// Why a runner refused a spec or workload, or aborted a run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunError {
     /// The strategy label did not parse (see [`crate::factory::make_strategy`]).
@@ -280,7 +233,7 @@ pub enum RunError {
         value: f64,
     },
     /// The workload itself is malformed (e.g. a stage depends on a stage
-    /// index that does not exist).
+    /// at or after its own index, or a stage with no tasks).
     InvalidWorkload(String),
     /// An injected fault exhausted its recovery bound (e.g. every pool
     /// invoke retry failed). The run aborts with the injection point and
@@ -323,10 +276,43 @@ impl fmt::Display for RunError {
 
 impl Error for RunError {}
 
+/// Check one query's stage graph against the invariants
+/// `QueryProfile::new` and `StageDag::new` assert, as a typed error for
+/// workloads assembled outside those constructors: at least one stage,
+/// every stage has `tasks > 0`, and every dependency index is lower than
+/// the stage's own (so the graph is in range and acyclic by
+/// construction). `stages` yields each stage's `(tasks, deps)`.
+pub(crate) fn check_stage_graph<D: AsRef<[usize]>>(
+    query: usize,
+    stages: impl IntoIterator<Item = (u32, D)>,
+) -> Result<(), RunError> {
+    let mut n = 0usize;
+    for (si, (tasks, deps)) in stages.into_iter().enumerate() {
+        n += 1;
+        if tasks == 0 {
+            return Err(RunError::InvalidWorkload(format!(
+                "query {query} stage {si} has zero tasks"
+            )));
+        }
+        if let Some(&d) = deps.as_ref().iter().find(|&&d| d >= si) {
+            return Err(RunError::InvalidWorkload(format!(
+                "query {query} stage {si} depends on stage {d}, not an earlier one"
+            )));
+        }
+    }
+    if n == 0 {
+        return Err(RunError::InvalidWorkload(format!(
+            "query {query} has no stages"
+        )));
+    }
+    Ok(())
+}
+
 impl RunError {
-    /// Abort with this error. The panicking `run_*` wrappers funnel
-    /// through here so the panic site lives in one place, outside the
-    /// hot-path files the L5 lint guards.
+    /// Abort with this error. Only the two hidden infallible forwards,
+    /// `run_live_with` and `run_live_collect`, funnel through here, so
+    /// the panic site lives in one place, outside the hot-path files the
+    /// L5 lint guards.
     pub(crate) fn raise(&self) -> ! {
         panic!("{self}")
     }
@@ -340,10 +326,9 @@ mod tests {
     fn defaults_match_old_system_config() {
         let s = RunSpec::new();
         assert_eq!(s.seed, 42);
-        assert_eq!(s.strategy, "dynamic");
         assert!((s.pool_slowdown - 1.25).abs() < 1e-12);
         assert!((s.duration_jitter - 0.08).abs() < 1e-12);
-        assert_eq!(s.spot_interruptions_per_vm_hour, 0.0);
+        assert!(s.faults.is_zero());
         assert!(!s.record_timeseries);
         assert!(!s.compute_only);
         assert!((s.rows_per_task_second - 400_000.0).abs() < 1e-9);
@@ -354,21 +339,19 @@ mod tests {
     fn builders_chain() {
         let t = Telemetry::new();
         let s = RunSpec::new()
-            .with_strategy("fixed_3")
             .with_seed(9)
             .with_pool_slowdown(2.0)
             .with_duration_jitter(0.0)
-            .with_spot_interruptions(0.5)
+            .with_faults(FaultSpec::default().with_spot_reclaims(0.5))
             .with_timeseries(true)
             .with_compute_only(true)
             .with_rows_per_task_second(1e6)
             .with_telemetry(&t);
-        assert_eq!(s.strategy, "fixed_3");
         assert_eq!(s.seed, 9);
+        assert_eq!(s.faults.spot_reclaims_per_vm_hour, 0.5);
         assert!(s.telemetry.is_enabled());
         assert!(s.validate().is_ok());
     }
-
     #[test]
     fn effective_telemetry_rules() {
         // Disabled sink, no timeseries: no-op handle.
@@ -401,26 +384,17 @@ mod tests {
     }
 
     #[test]
-    fn environment_folds_into_the_fault_spec() {
+    fn environment_lives_in_the_fault_spec() {
         // Zero environment: injector stays disabled (no-op contract).
         let t = Telemetry::disabled();
-        let plain = RunSpec::new();
-        assert!(!plain.fault_injector(&t).unwrap().is_enabled());
+        assert!(!RunSpec::new().fault_injector(&t).unwrap().is_enabled());
         // An active environment alone enables the injector.
-        let env = EnvironmentSpec::default().with_vm_heterogeneity(0.25, 2.0, 0.5);
-        let s = RunSpec::new().with_environment(env.clone());
-        assert_eq!(s.effective_faults().environment, env);
-        assert!(!s.effective_faults().is_noop());
+        let env = cackle_faults::EnvironmentSpec::default().with_vm_heterogeneity(0.25, 2.0, 0.5);
+        let s = RunSpec::new().with_faults(FaultSpec::default().with_environment(env));
         assert!(s.fault_injector(&t).unwrap().is_enabled());
-        // An explicit faults.environment wins over the spec-level knob.
-        let other = EnvironmentSpec::default().with_market_motion(0.2, 600);
-        let s = RunSpec::new()
-            .with_faults(cackle_faults::FaultSpec::default().with_environment(other.clone()))
-            .with_environment(env);
-        assert_eq!(s.effective_faults().environment, other);
         // Invalid environment knobs surface as typed run errors.
-        let bad = RunSpec::new()
-            .with_environment(EnvironmentSpec::default().with_vm_heterogeneity(0.5, 0.25, 0.0));
+        let bad = cackle_faults::EnvironmentSpec::default().with_vm_heterogeneity(0.5, 0.25, 0.0);
+        let bad = RunSpec::new().with_faults(FaultSpec::default().with_environment(bad));
         assert!(matches!(
             bad.validate(),
             Err(RunError::InvalidKnob {
@@ -428,6 +402,25 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn stage_graph_check_enforces_the_constructor_invariants() {
+        let ok: [(u32, Vec<usize>); 3] = [(2, vec![]), (1, vec![0]), (1, vec![0, 1])];
+        assert!(check_stage_graph(0, ok).is_ok());
+        let bad: [&[(u32, Vec<usize>)]; 4] = [
+            &[],
+            &[(0, vec![])],
+            &[(1, vec![5])],
+            &[(1, vec![1]), (1, vec![0])],
+        ];
+        for stages in bad {
+            let out = check_stage_graph(3, stages.iter().map(|(t, d)| (*t, d)));
+            assert!(
+                matches!(&out, Err(RunError::InvalidWorkload(why)) if why.contains("query 3")),
+                "{stages:?}: {out:?}"
+            );
+        }
     }
 
     #[test]

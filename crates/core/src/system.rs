@@ -11,12 +11,12 @@
 //! tasks run ~25 % slower than VM tasks (§7.1.2) with lognormal jitter.
 //! Figures 12–13 validate the analytical model against exactly this gap.
 //!
-//! Entry points: [`run_system`] builds the strategy from the spec label;
-//! [`run_system_with`] takes an explicit strategy; the `try_` variants
-//! surface [`RunError`] instead of panicking — malformed workloads (deps
-//! pointing at missing stages, dependency cycles, empty or task-less
-//! profiles) are rejected up front rather than hanging or underflowing the
-//! event loop.
+//! Entry point: [`run_system`]`(workload, strategy, spec)` returns
+//! `Result<RunResult, RunError>`. The spec and the workload are checked
+//! before any event is scheduled — malformed profiles (no stages,
+//! task-less or zero-duration stages, dependencies that do not point at
+//! an earlier stage) come back as [`RunError::InvalidWorkload`] rather
+//! than hanging or underflowing the event loop.
 //!
 //! Fault injection: the spec's [`FaultSpec`](cackle_faults::FaultSpec)
 //! compiles into a seeded [`FaultInjector`] whose per-injection-point
@@ -30,9 +30,8 @@
 //! output). Fault draws never touch the runner's main RNG, so a zero-rate
 //! plan leaves a run bit-identical to one without the subsystem.
 
-use crate::factory::try_make_strategy;
 use crate::history::WorkloadHistory;
-use crate::model::QueryArrival;
+use crate::model::{check_profiles, QueryArrival};
 use crate::report::{ComputeCost, RunResult, ShuffleCost, Timeseries};
 use crate::shuffleprov::ShuffleProvisioner;
 use crate::spec::{RunError, RunSpec};
@@ -380,8 +379,8 @@ impl SystemState<'_> {
                     // with probability exp(-rate × duration); otherwise
                     // the VM is reclaimed at a uniformly random point
                     // through the task. Drawn from the plan's spot stream
-                    // (the legacy RunSpec knob folds into the plan); the
-                    // hazard rises inside compiled reclaim-storm windows.
+                    // (`faults.spot_reclaims_per_vm_hour`); the hazard
+                    // rises inside compiled reclaim-storm windows.
                     if let Some(frac) = self.faults.vm_interrupt_at(now.as_secs(), dur_s) {
                         events.schedule(
                             now + SimDuration::from_secs_f64(dur_s * frac),
@@ -412,92 +411,17 @@ impl SystemState<'_> {
     }
 }
 
-/// Check that every profile in the workload can actually execute: at least
-/// one stage, at least one task per stage, dependency indices in range,
-/// and an acyclic stage graph (a cycle would deadlock the event loop).
-fn validate_workload(workload: &[QueryArrival]) -> Result<(), RunError> {
-    for (qi, q) in workload.iter().enumerate() {
-        let n = q.profile.stages.len();
-        if n == 0 {
-            return Err(RunError::InvalidWorkload(format!(
-                "query {qi} has no stages"
-            )));
-        }
-        for (si, stage) in q.profile.stages.iter().enumerate() {
-            if stage.tasks == 0 {
-                return Err(RunError::InvalidWorkload(format!(
-                    "query {qi} stage {si} has zero tasks"
-                )));
-            }
-            for &d in &stage.deps {
-                if d >= n {
-                    return Err(RunError::InvalidWorkload(format!(
-                        "query {qi} stage {si} depends on missing stage {d}"
-                    )));
-                }
-            }
-        }
-        // Kahn's algorithm over the stage DAG: anything left unprocessed
-        // sits on a dependency cycle.
-        let mut indegree: Vec<usize> = q.profile.stages.iter().map(|s| s.deps.len()).collect();
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut processed = 0usize;
-        while let Some(done) = ready.pop() {
-            processed += 1;
-            for (si, stage) in q.profile.stages.iter().enumerate() {
-                if stage.deps.contains(&done) {
-                    indegree[si] = indegree[si].saturating_sub(1);
-                    if indegree[si] == 0 {
-                        ready.push(si);
-                    }
-                }
-            }
-        }
-        if processed < n {
-            return Err(RunError::InvalidWorkload(format!(
-                "query {qi} has a stage dependency cycle"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Run the full system over a workload; the strategy comes from
-/// `spec.strategy`. Panics on a malformed spec or workload — use
-/// [`try_run_system`] to handle those gracefully.
-pub fn run_system(workload: &[QueryArrival], spec: &RunSpec) -> RunResult {
-    try_run_system(workload, spec).unwrap_or_else(|e| e.raise())
-}
-
-/// [`run_system`], reporting malformed specs and workloads instead of
-/// panicking.
-pub fn try_run_system(workload: &[QueryArrival], spec: &RunSpec) -> Result<RunResult, RunError> {
-    let mut strategy = try_make_strategy(&spec.strategy, &spec.env)?;
-    try_run_system_with(workload, strategy.as_mut(), spec)
-}
-
-/// Run the full system under an explicitly constructed strategy. A
-/// malformed spec or workload trips a debug assertion and yields an empty
-/// result; use [`try_run_system_with`] to observe the error.
-pub fn run_system_with(
-    workload: &[QueryArrival],
-    strategy: &mut dyn ProvisioningStrategy,
-    spec: &RunSpec,
-) -> RunResult {
-    let outcome = try_run_system_with(workload, strategy, spec);
-    debug_assert!(outcome.is_ok(), "invalid system run: {outcome:?}");
-    outcome.unwrap_or_default()
-}
-
-/// [`run_system_with`] as a fallible operation: the spec's knobs and the
-/// workload's stage graphs are validated before any event is scheduled.
-pub fn try_run_system_with(
+/// Run the full system over a workload under `strategy`. The spec's
+/// knobs and the workload's stage graphs are validated before any event
+/// is scheduled; an injected fault that exhausts its recovery bound
+/// aborts the run with [`RunError::FaultUnrecovered`].
+pub fn run_system(
     workload: &[QueryArrival],
     strategy: &mut dyn ProvisioningStrategy,
     spec: &RunSpec,
 ) -> Result<RunResult, RunError> {
     spec.validate()?;
-    validate_workload(workload)?;
+    check_profiles(workload)?;
     let env = &spec.env;
     let pricing: Pricing = env.pricing.clone();
     let telemetry = spec.effective_telemetry();
@@ -805,10 +729,21 @@ pub fn try_run_system_with(
     })
 }
 
+/// Forward to [`run_system`], kept only for the repository benchmark.
+#[doc(hidden)]
+pub fn try_run_system_with(
+    workload: &[QueryArrival],
+    strategy: &mut dyn ProvisioningStrategy,
+    spec: &RunSpec,
+) -> Result<RunResult, RunError> {
+    run_system(workload, strategy, spec)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::strategy::FixedStrategy;
+    use cackle_faults::FaultSpec;
     use cackle_telemetry::Telemetry;
     use cackle_workload::profile::{QueryProfile, StageProfile};
     use std::sync::Arc;
@@ -850,7 +785,7 @@ mod tests {
             profile: profile(8, 10),
         }];
         let mut s = FixedStrategy { vms: 0 };
-        let r = run_system_with(&w, &mut s, &noiseless());
+        let r = run_system(&w, &mut s, &noiseless()).expect("valid run");
         // 10 s + 2 s + two 100 ms invoke latencies.
         assert!(
             (r.latencies[0] - 12.2).abs() < 0.01,
@@ -871,9 +806,9 @@ mod tests {
             .collect();
         let base = RunSpec::new();
         let mut s0 = FixedStrategy { vms: 0 };
-        let pool_run = run_system_with(&w, &mut s0, &base);
+        let pool_run = run_system(&w, &mut s0, &base).expect("valid run");
         let mut s8 = FixedStrategy { vms: 8 };
-        let vm_run = run_system_with(&w, &mut s8, &base);
+        let vm_run = run_system(&w, &mut s8, &base).expect("valid run");
         // Once VMs are up (query 10 onward), latency beats the pool-only
         // run (pool tasks run 1.25× slower).
         let late_vm: f64 = vm_run.latencies[10..].iter().sum::<f64>() / 20.0;
@@ -889,7 +824,8 @@ mod tests {
                 profile: profile(4, 10),
             })
             .collect();
-        let r = run_system(&w, &noiseless().with_strategy("fixed_4"));
+        let mut s = FixedStrategy { vms: 4 };
+        let r = run_system(&w, &mut s, &noiseless()).expect("valid run");
         assert!(r.compute.vm_seconds > 0.0, "VMs never used");
         assert!(
             r.compute.pool_seconds > 0.0,
@@ -909,9 +845,9 @@ mod tests {
             .collect();
         let spec = RunSpec::new();
         let mut s1 = FixedStrategy { vms: 2 };
-        let a = run_system_with(&w, &mut s1, &spec);
+        let a = run_system(&w, &mut s1, &spec).expect("valid run");
         let mut s2 = FixedStrategy { vms: 2 };
-        let b = run_system_with(&w, &mut s2, &spec);
+        let b = run_system(&w, &mut s2, &spec).expect("valid run");
         assert_eq!(a.latencies, b.latencies);
         assert!((a.total_cost() - b.total_cost()).abs() < 1e-12);
     }
@@ -924,7 +860,7 @@ mod tests {
         }];
         let spec = noiseless().with_timeseries(true);
         let mut s = FixedStrategy { vms: 3 };
-        let r = run_system_with(&w, &mut s, &spec);
+        let r = run_system(&w, &mut s, &spec).expect("valid run");
         let ts = r.timeseries.expect("requested");
         assert!(ts.demand.iter().take(100).any(|&d| d == 6));
         // Active VMs reach the target after the 180 s startup.
@@ -943,7 +879,7 @@ mod tests {
             .collect();
         let spec = RunSpec::new();
         let mut dynamic = MetaStrategy::with_family(FamilyConfig::small(), &spec.env);
-        let r = run_system_with(&w, &mut dynamic, &spec);
+        let r = run_system(&w, &mut dynamic, &spec).expect("valid run");
         assert_eq!(r.latencies.len(), 120);
         assert!(r.latencies.iter().all(|&l| l > 0.0));
         assert!(r.total_cost() > 0.0);
@@ -959,11 +895,11 @@ mod tests {
             })
             .collect();
         // Absurdly high rate so interruptions certainly occur.
-        let spec = noiseless().with_spot_interruptions(60.0);
+        let spec = noiseless().with_faults(FaultSpec::default().with_spot_reclaims(60.0));
         let mut s = FixedStrategy { vms: 6 };
-        let interrupted = run_system_with(&w, &mut s, &spec);
+        let interrupted = run_system(&w, &mut s, &spec).expect("valid run");
         let mut s2 = FixedStrategy { vms: 6 };
-        let calm = run_system_with(&w, &mut s2, &noiseless());
+        let calm = run_system(&w, &mut s2, &noiseless()).expect("valid run");
         // Every query still completes...
         assert_eq!(interrupted.latencies.len(), 40);
         assert!(interrupted.latencies.iter().all(|&l| l > 0.0));
@@ -1000,14 +936,18 @@ mod tests {
             profile: big,
         }];
         let mut s = FixedStrategy { vms: 0 };
-        let r = run_system_with(&w, &mut s, &noiseless());
+        let r = run_system(&w, &mut s, &noiseless()).expect("valid run");
         assert!(r.shuffle.puts > 0, "expected S3 fallback puts");
     }
 
     #[test]
-    fn try_run_rejects_malformed_workloads() {
-        let spec = noiseless();
-        let mut s = FixedStrategy { vms: 0 };
+    fn runners_reject_malformed_workloads() {
+        use crate::delaying::run_delaying;
+        use crate::live::{run_live, LiveQuery};
+        use crate::model::run_model;
+        use cackle_tpch::dbgen::{generate_catalog, DbGenConfig};
+        use cackle_tpch::plans::{self, Par};
+
         // Build profiles directly (QueryProfile::new would assert first) —
         // these model corrupt profiles arriving from outside the crate.
         let case = |stages: Vec<StageProfile>| {
@@ -1019,45 +959,96 @@ mod tests {
                 }),
             }]
         };
-        let stage = |tasks: u32, deps: Vec<usize>| StageProfile {
+        let stage = |tasks: u32, task_seconds: u32, deps: Vec<usize>| StageProfile {
             tasks,
-            task_seconds: 1,
-            shuffle_bytes: 0,
-            shuffle_writes: 0,
+            task_seconds,
+            shuffle_bytes: 1 << 20,
+            shuffle_writes: 1,
             shuffle_reads: 0,
             deps,
         };
-        // No stages at all.
-        let empty = case(vec![]);
-        // A dependency on a stage index that does not exist.
-        let dangling = case(vec![stage(1, vec![5])]);
-        // A two-stage dependency cycle.
-        let cyclic = case(vec![stage(1, vec![1]), stage(1, vec![0])]);
-        // A stage that can never complete because it has no tasks.
-        let taskless = case(vec![stage(0, vec![])]);
-        for (name, w) in [
-            ("empty", empty),
-            ("dangling", dangling),
-            ("cyclic", cyclic),
-            ("taskless", taskless),
-        ] {
+        let profile_cases = [
+            ("empty", case(vec![])),
+            ("dangling", case(vec![stage(1, 1, vec![5])])),
+            (
+                "cyclic",
+                case(vec![stage(1, 1, vec![1]), stage(1, 1, vec![0])]),
+            ),
+            ("taskless", case(vec![stage(0, 1, vec![])])),
+            ("zero-duration", case(vec![stage(1, 0, vec![])])),
+        ];
+        let spec = noiseless();
+        let mut s = FixedStrategy { vms: 0 };
+        for (name, w) in &profile_cases {
+            let outcomes = [
+                ("model", run_model(w, &mut s, &spec)),
+                ("system", run_system(w, &mut s, &spec)),
+                ("delaying", run_delaying(w, 2, &spec)),
+            ];
+            for (runner, out) in outcomes {
+                assert!(
+                    matches!(out, Err(RunError::InvalidWorkload(_))),
+                    "{runner} accepted the {name} workload: {out:?}"
+                );
+            }
+        }
+
+        // The live equivalents: a valid two-stage plan, then corrupted
+        // copies assembled without StageDag::new.
+        let catalog = generate_catalog(&DbGenConfig {
+            scale_factor: 0.002,
+            rows_per_partition: 512,
+            seed: 7,
+        });
+        let par = Par {
+            fact: 2,
+            mid: 2,
+            join: 2,
+        };
+        let good = plans::plan("q06", par);
+        assert_eq!(good.stages.len(), 2, "q06 is scan+aggregate then gather");
+        let live = |edit: &dyn Fn(&mut Vec<cackle_engine::plan::Stage>)| {
+            let mut dag = good.clone();
+            edit(&mut dag.stages);
+            vec![LiveQuery {
+                at_s: 0,
+                plan: Arc::new(dag),
+            }]
+        };
+        let live_cases = [
+            ("empty", live(&|st| st.clear())),
+            ("dangling", live(&|st| drop(st.remove(0)))),
+            ("cyclic", live(&|st| st.reverse())),
+            ("taskless", live(&|st| st[0].tasks = 0)),
+        ];
+        for (name, w) in &live_cases {
+            let out = run_live(w, &catalog, &mut s, &spec);
             assert!(
-                matches!(
-                    try_run_system_with(&w, &mut s, &spec),
-                    Err(RunError::InvalidWorkload(_))
-                ),
-                "workload {name} should be rejected"
+                matches!(out, Err(RunError::InvalidWorkload(_))),
+                "live accepted the {name} workload: {out:?}"
             );
         }
-        // A bad knob is caught before the workload is inspected.
+
+        // A bad knob is caught before the workload is inspected, by every
+        // runner; the valid workloads still run.
         let bad_spec = noiseless().with_duration_jitter(f64::NAN);
-        let ok = case(vec![stage(1, vec![])]);
-        assert!(matches!(
-            try_run_system_with(&ok, &mut s, &bad_spec),
-            Err(RunError::InvalidKnob { .. })
-        ));
-        // And the valid workload still runs.
-        assert!(try_run_system_with(&ok, &mut s, &spec).is_ok());
+        let ok = case(vec![stage(1, 1, vec![])]);
+        let ok_live = live(&|_| {});
+        for (runner, out) in [
+            ("model", run_model(&ok, &mut s, &bad_spec)),
+            ("system", run_system(&ok, &mut s, &bad_spec)),
+            ("delaying", run_delaying(&ok, 2, &bad_spec)),
+            ("live", run_live(&ok_live, &catalog, &mut s, &bad_spec)),
+        ] {
+            assert!(
+                matches!(out, Err(RunError::InvalidKnob { .. })),
+                "{runner} accepted a NaN knob: {out:?}"
+            );
+        }
+        assert!(run_model(&ok, &mut s, &spec).is_ok());
+        assert!(run_system(&ok, &mut s, &spec).is_ok());
+        assert!(run_delaying(&ok, 2, &spec).is_ok());
+        assert!(run_live(&ok_live, &catalog, &mut s, &spec).is_ok());
     }
 
     #[test]
@@ -1069,8 +1060,8 @@ mod tests {
             })
             .collect();
         let t = Telemetry::new();
-        let spec = noiseless().with_strategy("fixed_2").with_telemetry(&t);
-        let r = run_system(&w, &spec);
+        let spec = noiseless().with_telemetry(&t);
+        let r = run_system(&w, &mut FixedStrategy { vms: 2 }, &spec).expect("valid run");
         // Per-component dollars in the registry equal the result's splits.
         assert!((t.cost("fleet", "vm_compute") - r.compute.vm_cost).abs() < 1e-12);
         assert!((t.cost("pool", "elastic_pool") - r.compute.pool_cost).abs() < 1e-12);
@@ -1088,7 +1079,7 @@ mod tests {
 
     #[test]
     fn zero_rate_fault_plan_is_a_noop() {
-        use cackle_faults::{FaultSpec, RecoveryPolicy};
+        use cackle_faults::RecoveryPolicy;
         let w: Vec<QueryArrival> = (0..15)
             .map(|i| QueryArrival {
                 at_s: i * 10,
@@ -1096,14 +1087,14 @@ mod tests {
             })
             .collect();
         let mut a = FixedStrategy { vms: 2 };
-        let plain = run_system_with(&w, &mut a, &RunSpec::new());
+        let plain = run_system(&w, &mut a, &RunSpec::new()).expect("valid run");
         // An explicitly attached all-zero plan (with a non-default
         // recovery policy, which must also be inert) changes nothing.
         let spec = RunSpec::new()
             .with_faults(FaultSpec::default())
             .with_recovery(RecoveryPolicy::default().with_max_retries(9));
         let mut b = FixedStrategy { vms: 2 };
-        let faulted = run_system_with(&w, &mut b, &spec);
+        let faulted = run_system(&w, &mut b, &spec).expect("valid run");
         assert_eq!(plain.latencies, faulted.latencies);
         assert_eq!(plain.compute, faulted.compute);
         assert_eq!(plain.shuffle, faulted.shuffle);
@@ -1111,7 +1102,6 @@ mod tests {
 
     #[test]
     fn injected_faults_recover_and_attribute_cost() {
-        use cackle_faults::FaultSpec;
         let w: Vec<QueryArrival> = (0..30)
             .map(|i| QueryArrival {
                 at_s: i * 15,
@@ -1125,11 +1115,8 @@ mod tests {
             .with_pool_throttles(0.2, 400)
             .with_stragglers(0.25, 3.0)
             .with_store_errors(0.3, 0.3);
-        let spec = RunSpec::new()
-            .with_strategy("fixed_4")
-            .with_faults(faults)
-            .with_telemetry(&t);
-        let r = run_system(&w, &spec);
+        let spec = RunSpec::new().with_faults(faults).with_telemetry(&t);
+        let r = run_system(&w, &mut FixedStrategy { vms: 4 }, &spec).expect("valid run");
         // Every fault is recovered: all queries complete, nothing is
         // surfaced as unrecovered, and no panic occurred.
         assert_eq!(r.latencies.len(), 30);
@@ -1148,7 +1135,7 @@ mod tests {
 
     #[test]
     fn pool_invoke_exhaustion_surfaces_typed_error() {
-        use cackle_faults::{FaultSpec, RecoveryPolicy};
+        use cackle_faults::RecoveryPolicy;
         let w = vec![QueryArrival {
             at_s: 0,
             profile: profile(8, 10),
@@ -1157,7 +1144,7 @@ mod tests {
             .with_faults(FaultSpec::default().with_pool_invoke_failures(0.95))
             .with_recovery(RecoveryPolicy::default().with_max_retries(0));
         let mut s = FixedStrategy { vms: 0 };
-        let out = try_run_system_with(&w, &mut s, &spec);
+        let out = run_system(&w, &mut s, &spec);
         assert!(
             matches!(
                 out,
@@ -1168,27 +1155,5 @@ mod tests {
             ),
             "{out:?}"
         );
-    }
-
-    #[test]
-    fn legacy_spot_knob_folds_into_the_fault_plan() {
-        // The deprecated-path spot knob and the equivalent FaultSpec
-        // produce the same run: both compile to the same plan.
-        let w: Vec<QueryArrival> = (0..10)
-            .map(|i| QueryArrival {
-                at_s: i * 20,
-                profile: profile(4, 30),
-            })
-            .collect();
-        let mut a = FixedStrategy { vms: 4 };
-        let legacy = run_system_with(&w, &mut a, &noiseless().with_spot_interruptions(30.0));
-        let mut b = FixedStrategy { vms: 4 };
-        let planned = run_system_with(
-            &w,
-            &mut b,
-            &noiseless().with_faults(cackle_faults::FaultSpec::default().with_spot_reclaims(30.0)),
-        );
-        assert_eq!(legacy.latencies, planned.latencies);
-        assert_eq!(legacy.compute, planned.compute);
     }
 }

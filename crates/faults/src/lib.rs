@@ -118,8 +118,6 @@ impl std::error::Error for FaultError {}
 pub struct FaultSpec {
     /// Spot reclaims per VM-busy-hour (Poisson: a task of duration `d`
     /// seconds is reclaimed with probability `1 - exp(-rate·d/3600)`).
-    /// Mirrors `RunSpec::spot_interruptions_per_vm_hour`, which folds
-    /// into this knob.
     pub spot_reclaims_per_vm_hour: f64,
     /// Probability an elastic-pool invoke attempt fails outright
     /// (per attempt, `[0, 0.95]`).

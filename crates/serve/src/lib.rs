@@ -20,8 +20,9 @@
 //!   largest-remainder method, so shares sum to the aggregate ledger
 //!   byte-identically.
 //! * [`run`] — the serving loop tying it together: [`run_serve`] takes
-//!   a [`ServeSpec`] and returns a [`ServeResult`] with the aggregate
-//!   [`cackle::RunResult`] plus a [`TenantReport`] per tenant.
+//!   a [`ServeSpec`], a profile mix, and the fleet's provisioning
+//!   strategy (like every runner), and returns a [`ServeResult`] with the
+//!   aggregate [`cackle::RunResult`] plus a [`TenantReport`] per tenant.
 //!
 //! Everything is deterministic integer state driven by simulated
 //! seconds: reruns are byte-identical, and the inner runner's worker

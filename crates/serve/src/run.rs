@@ -4,9 +4,10 @@
 //! [`run_serve`] generates every tenant's seeded trace stream, pushes
 //! the superposed arrivals through admission control and the WDRR
 //! scheduler second by second, hands the dispatched queries (at their
-//! dispatch times) to the existing model or system runner as one
-//! aggregate workload, and finally splits the run's exact micro-dollar
-//! totals back across tenants by metered usage. The whole pipeline is
+//! dispatch times) to the model or system runner as one aggregate
+//! workload under the caller's provisioning strategy, and finally
+//! splits the run's exact micro-dollar totals back across tenants by
+//! metered usage. The whole pipeline is
 //! integer state visited in fixed order: reruns are byte-identical and
 //! the inner runner's worker count stays a pure throughput knob.
 
@@ -15,7 +16,8 @@ use crate::attribution::{attribute, Meter};
 use crate::scheduler::{QueuedQuery, SchedulerConfig, WdrrScheduler};
 use crate::tenant::{PriorityClass, TenantRegistry};
 use cackle::{
-    build_workload, try_run_model, try_run_system, QueryArrival, RunError, RunResult, RunSpec,
+    build_workload, run_model, run_system, ProvisioningStrategy, QueryArrival, RunError, RunResult,
+    RunSpec,
 };
 use cackle_workload::demand::percentile_f64;
 use cackle_workload::profile::ProfileRef;
@@ -40,7 +42,7 @@ pub struct ServeSpec {
     pub admission: AdmissionConfig,
     /// Fair-scheduler knobs.
     pub scheduler: SchedulerConfig,
-    /// Spec for the underlying fleet run (strategy, seed, noise,
+    /// Spec for the underlying fleet run (seed, noise, faults,
     /// telemetry sink, workers).
     pub run: RunSpec,
     /// Which runner executes the dispatched workload.
@@ -204,8 +206,12 @@ fn gate(
 }
 
 /// Run the full serving pipeline over `spec` with query profiles drawn
-/// from `mix`.
-pub fn run_serve(spec: &ServeSpec, mix: &[ProfileRef]) -> Result<ServeResult, RunError> {
+/// from `mix`, the shared fleet provisioned by `strategy`.
+pub fn run_serve(
+    spec: &ServeSpec,
+    mix: &[ProfileRef],
+    strategy: &mut dyn ProvisioningStrategy,
+) -> Result<ServeResult, RunError> {
     if mix.is_empty() {
         return Err(RunError::InvalidWorkload("empty profile mix".into()));
     }
@@ -350,8 +356,8 @@ pub fn run_serve(spec: &ServeSpec, mix: &[ProfileRef]) -> Result<ServeResult, Ru
     let mut run_spec = spec.run.clone();
     run_spec.telemetry = telemetry.clone();
     let result = match spec.runner {
-        Runner::Model => try_run_model(&workload, &run_spec)?,
-        Runner::System => try_run_system(&workload, &run_spec)?,
+        Runner::Model => run_model(&workload, strategy, &run_spec)?,
+        Runner::System => run_system(&workload, strategy, &run_spec)?,
     };
 
     let shares = attribute(&result, &meter);
@@ -451,6 +457,11 @@ mod tests {
         ))]
     }
 
+    /// The default fleet strategy: the paper's `dynamic` meta-strategy.
+    fn dynamic() -> cackle::MetaStrategy {
+        cackle::MetaStrategy::new(&cackle::Env::default())
+    }
+
     fn short(n: usize, seed: u64) -> WorkloadSpec {
         WorkloadSpec {
             duration_s: 600,
@@ -465,7 +476,7 @@ mod tests {
     fn shares_sum_to_the_aggregate_exactly() {
         for tenants in [1usize, 7, 100] {
             let spec = ServeSpec::new(TenantRegistry::homogeneous(tenants, &short(200, 5)));
-            let r = run_serve(&spec, &mix()).expect("serve run");
+            let r = run_serve(&spec, &mix(), &mut dynamic()).expect("serve run");
             assert_eq!(r.admitted(), 200, "{tenants} tenants");
             assert_eq!(
                 r.attributed_total_micros(),
@@ -485,7 +496,7 @@ mod tests {
             TenantSpec::new(1, "throttled", streams[1].clone())
                 .with_quota(QuotaSpec::per_minute(1, 1)),
         ]);
-        let r = run_serve(&ServeSpec::new(reg), &mix()).expect("serve run");
+        let r = run_serve(&ServeSpec::new(reg), &mix(), &mut dynamic()).expect("serve run");
         let throttled = &r.tenants[1];
         assert!(throttled.rejected > 0, "{throttled:?}");
         assert_eq!(throttled.submitted, throttled.admitted + throttled.rejected);
@@ -502,7 +513,7 @@ mod tests {
         let spec = ServeSpec::new(reg)
             .with_admission(AdmissionConfig::default().with_max_queue_depth(1))
             .with_scheduler(SchedulerConfig::default().with_dispatch_per_s(1));
-        let r = run_serve(&spec, &mix()).expect("serve run");
+        let r = run_serve(&spec, &mix(), &mut dynamic()).expect("serve run");
         assert!(r.deferrals() > 0);
         assert_eq!(r.admitted(), 120, "deferral must not drop queries");
         assert_eq!(r.attributed_total_micros(), r.run.total_cost_micros());
@@ -520,7 +531,7 @@ mod tests {
         ]);
         let spec =
             ServeSpec::new(reg).with_scheduler(SchedulerConfig::default().with_dispatch_per_s(1));
-        let r = run_serve(&spec, &mix()).expect("serve run");
+        let r = run_serve(&spec, &mix(), &mut dynamic()).expect("serve run");
         assert!(
             r.tenants[0].mean_queue_delay() < r.tenants[1].mean_queue_delay(),
             "interactive {:.2}s vs batch {:.2}s",
@@ -534,7 +545,7 @@ mod tests {
         let t = cackle::Telemetry::new();
         let reg = TenantRegistry::homogeneous(2, &short(50, 4));
         let spec = ServeSpec::new(reg).with_run(RunSpec::new().with_telemetry(&t));
-        let r = run_serve(&spec, &mix()).expect("serve run");
+        let r = run_serve(&spec, &mix(), &mut dynamic()).expect("serve run");
         assert_eq!(t.counter("serve.admitted_total"), r.admitted());
         assert_eq!(t.counter("serve.dispatched_standard_total"), r.admitted());
         assert_eq!(t.gauge("tenant.count"), Some(2.0));
@@ -548,7 +559,7 @@ mod tests {
             let t = cackle::Telemetry::new();
             let reg = TenantRegistry::homogeneous(5, &short(150, 12));
             let spec = ServeSpec::new(reg).with_run(RunSpec::new().with_telemetry(&t));
-            run_serve(&spec, &mix()).expect("serve run");
+            run_serve(&spec, &mix(), &mut dynamic()).expect("serve run");
             t.export_jsonl()
         };
         assert_eq!(dump(), dump());
@@ -558,12 +569,12 @@ mod tests {
     fn invalid_inputs_are_rejected() {
         let spec = ServeSpec::new(TenantRegistry::default());
         assert!(matches!(
-            run_serve(&spec, &mix()),
+            run_serve(&spec, &mix(), &mut dynamic()),
             Err(RunError::InvalidWorkload(_))
         ));
         let ok = ServeSpec::new(TenantRegistry::homogeneous(1, &short(5, 1)));
         assert!(matches!(
-            run_serve(&ok, &[]),
+            run_serve(&ok, &[], &mut dynamic()),
             Err(RunError::InvalidWorkload(_))
         ));
     }

@@ -8,19 +8,19 @@
 //! ```
 
 use cackle::model::{build_workload, run_model};
-use cackle::{Env, RunSpec};
+use cackle::{make_strategy, Env, RunError, RunSpec};
 use cackle_tpch::profiles::profile_set;
 use cackle_workload::arrivals::WorkloadSpec;
 
-fn cost(label: &str, workload: &[cackle::QueryArrival], env: &Env) -> f64 {
-    let spec = RunSpec::new()
-        .with_env(env.clone())
-        .with_strategy(label)
-        .with_compute_only(true);
-    run_model(workload, &spec).compute.total()
+fn cost(label: &str, workload: &[cackle::QueryArrival], env: &Env) -> Result<f64, RunError> {
+    let spec = RunSpec::new().with_env(env.clone()).with_compute_only(true);
+    let mut strategy = make_strategy(label, env)?;
+    Ok(run_model(workload, strategy.as_mut(), &spec)?
+        .compute
+        .total())
 }
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let spec = WorkloadSpec {
         duration_s: 4 * 3600,
         num_queries: 4000,
@@ -43,9 +43,9 @@ fn main() {
         println!(
             "{:>8} {:>11.2}$ {:>11.2}$ {:>11.2}$",
             premium,
-            cost("fixed_0", &workload, &env),
-            cost("mean_2", &workload, &env),
-            cost("dynamic", &workload, &env),
+            cost("fixed_0", &workload, &env)?,
+            cost("mean_2", &workload, &env)?,
+            cost("dynamic", &workload, &env)?,
         );
     }
 
@@ -59,11 +59,12 @@ fn main() {
         println!(
             "{:>7}s {:>11.2}$ {:>11.2}$ {:>11.2}$",
             startup,
-            cost("mean_1", &workload, &env),
-            cost("mean_2", &workload, &env),
-            cost("dynamic", &workload, &env),
+            cost("mean_1", &workload, &env)?,
+            cost("mean_2", &workload, &env)?,
+            cost("dynamic", &workload, &env)?,
         );
     }
 
     println!("\ndynamic re-ranks its expert family as conditions change — no retuning.");
+    Ok(())
 }

@@ -13,11 +13,11 @@
 
 use cackle::model::build_workload;
 use cackle::system::run_system;
-use cackle::{FaultSpec, RecoveryPolicy, RunSpec, Telemetry};
+use cackle::{make_strategy, FaultSpec, RecoveryPolicy, RunError, RunSpec, Telemetry};
 use cackle_tpch::profiles::profile_set;
 use cackle_workload::arrivals::WorkloadSpec;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     // A half-hour bursty workload of TPC-H-SF100 queries.
     let workload = build_workload(
         &WorkloadSpec {
@@ -43,12 +43,12 @@ fn main() {
 
     let telemetry = Telemetry::new();
     let spec = RunSpec::new()
-        .with_strategy("dynamic")
         .with_seed(7)
         .with_faults(faults)
         .with_recovery(recovery)
         .with_telemetry(&telemetry);
-    let r = run_system(&workload, &spec);
+    let mut strategy = make_strategy("dynamic", &spec.env)?;
+    let r = run_system(&workload, strategy.as_mut(), &spec)?;
 
     println!(
         "ran {} queries in {} simulated seconds; total bill ${:.2}",
@@ -95,4 +95,5 @@ fn main() {
             Err(e) => eprintln!("warning: could not write {path}: {e}"),
         }
     }
+    Ok(())
 }

@@ -11,7 +11,7 @@
 //! cargo run --release --example multi_tenant
 //! ```
 
-use cackle::{RunSpec, Telemetry};
+use cackle::{make_strategy, RunError, RunSpec, Telemetry};
 use cackle_serve::{
     run_serve, PriorityClass, QuotaSpec, Runner, SchedulerConfig, ServeSpec, TenantRegistry,
     TenantSpec,
@@ -19,7 +19,7 @@ use cackle_serve::{
 use cackle_tpch::profiles::profile_set;
 use cackle_workload::arrivals::WorkloadSpec;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     // 1. Three tenants, two priority classes. The dashboard tenant runs
     //    Interactive (weight 4); the two report tenants run Batch
     //    (weight 1), and one of them is throttled to 1 query/minute.
@@ -47,13 +47,10 @@ fn main() {
     let telemetry = Telemetry::new();
     let spec = ServeSpec::new(tenants)
         .with_scheduler(SchedulerConfig::default().with_dispatch_per_s(1))
-        .with_run(
-            RunSpec::new()
-                .with_strategy("dynamic")
-                .with_telemetry(&telemetry),
-        )
+        .with_run(RunSpec::new().with_telemetry(&telemetry))
         .with_runner(Runner::System);
-    let r = run_serve(&spec, &profile_set(10.0)).expect("example spec is valid");
+    let mut strategy = make_strategy("dynamic", &spec.run.env)?;
+    let r = run_serve(&spec, &profile_set(10.0), strategy.as_mut())?;
 
     // 3. The per-tenant ledger: admitted/rejected counts, queueing
     //    delay, and the exact micro-dollar share of the aggregate bill.
@@ -102,4 +99,5 @@ fn main() {
     }
     println!("\nthe throttled tenant's rejected queries never ran and were never billed;");
     println!("the interactive tenant waited least under the 4:2:1 weighted scheduler.");
+    Ok(())
 }

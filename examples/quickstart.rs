@@ -8,11 +8,11 @@
 
 use cackle::model::{build_workload, run_model, workload_curves};
 use cackle::oracle::oracle_cost;
-use cackle::{Env, RunSpec, Telemetry};
+use cackle::{make_strategy, Env, RunError, RunSpec, Telemetry};
 use cackle_tpch::profiles::profile_set;
 use cackle_workload::arrivals::WorkloadSpec;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     // 1. An environment: AWS-like prices, 3-minute VM startup, 6x pool
     //    premium (Table 1 of the paper). Everything is overridable.
     let env = Env::default();
@@ -44,22 +44,20 @@ fn main() {
     );
 
     // 3. Run the analytical model under several provisioning strategies.
-    //    A RunSpec bundles the environment, the strategy label, the noise
-    //    knobs, and (optionally) a telemetry sink.
+    //    `make_strategy` parses a paper label; a RunSpec bundles the
+    //    environment, the noise knobs, and (optionally) a telemetry sink.
     println!(
         "{:<12} {:>12} {:>12} {:>12}",
         "strategy", "vm_cost", "pool_cost", "total"
     );
     let telemetry = Telemetry::new();
     for label in ["fixed_0", "fixed_200", "mean_2", "predictive", "dynamic"] {
-        let mut run_spec = RunSpec::new()
-            .with_env(env.clone())
-            .with_strategy(label)
-            .with_compute_only(true);
+        let mut run_spec = RunSpec::new().with_env(env.clone()).with_compute_only(true);
         if label == "dynamic" {
             run_spec = run_spec.with_telemetry(&telemetry);
         }
-        let r = run_model(&workload, &run_spec);
+        let mut strategy = make_strategy(label, &env)?;
+        let r = run_model(&workload, strategy.as_mut(), &run_spec)?;
         println!(
             "{:<12} {:>11.2}$ {:>11.2}$ {:>11.2}$",
             label,
@@ -97,4 +95,5 @@ fn main() {
         telemetry.cost("pool", "elastic_pool"),
     );
     println!("\nthe dynamic strategy needs no tuning and no workload knowledge a priori.");
+    Ok(())
 }

@@ -6,11 +6,12 @@
 //! EXPLAIN=1 cargo run --release --example tpch_engine 0.01 q05
 //! ```
 
+use cackle::RunError;
 use cackle_engine::prelude::*;
 use cackle_tpch::dbgen::{generate_catalog, DbGenConfig};
 use cackle_tpch::plans::{self, Par};
 
-fn main() {
+fn main() -> Result<(), RunError> {
     let mut args = std::env::args().skip(1);
     let sf: f64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(0.01);
     let queries: Vec<String> = {
@@ -77,4 +78,5 @@ fn main() {
         print!("{}", format_batch(&result, 10));
         println!();
     }
+    Ok(())
 }

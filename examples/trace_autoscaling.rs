@@ -9,7 +9,7 @@
 
 use cackle::model::QueryArrival;
 use cackle::system::run_system;
-use cackle::RunSpec;
+use cackle::{make_strategy, RunError, RunSpec};
 use cackle_prng::Pcg32;
 use cackle_tpch::profiles::profile_set;
 
@@ -17,7 +17,7 @@ use cackle_tpch::profiles::profile_set;
 /// re-derivable: change it and every arrival time shifts together.
 const WORKLOAD_SEED: u64 = 5;
 
-fn main() {
+fn main() -> Result<(), RunError> {
     // A 40-minute interactive session: a dashboard fires a batch of
     // queries every 5 minutes, analysts trickle in between, and one
     // unpredictable burst of ad-hoc queries lands mid-session.
@@ -48,7 +48,8 @@ fn main() {
     workload.sort_by_key(|q| q.at_s);
 
     let spec = RunSpec::new().with_timeseries(true);
-    let r = run_system(&workload, &spec);
+    let mut strategy = make_strategy("dynamic", &spec.env)?;
+    let r = run_system(&workload, strategy.as_mut(), &spec)?;
     let ts = r.timeseries.as_ref().expect("recorded");
 
     println!("minute | demand(max) target active  (# = active VMs, + = pool overflow)");
@@ -78,4 +79,5 @@ fn main() {
         r.total_cost()
     );
     println!("the burst at minute 22 ran on the pool; no query waited for a VM.");
+    Ok(())
 }

@@ -6,9 +6,12 @@
 //! same seed produces the same report — and the same telemetry dump —
 //! byte for byte, run to run.
 
-use cackle::model::{build_workload, run_model_with};
-use cackle::system::{run_system, run_system_with};
-use cackle::{Env, FamilyConfig, FaultSpec, MetaStrategy, RunResult, RunSpec, Telemetry};
+use cackle::model::{build_workload, run_model};
+use cackle::system::run_system;
+use cackle::{
+    make_strategy, Env, EnvironmentSpec, FamilyConfig, FaultSpec, MetaStrategy, RunError,
+    RunResult, RunSpec, Telemetry,
+};
 use cackle_tpch::profiles::profile_set;
 use cackle_workload::arrivals::WorkloadSpec;
 
@@ -35,16 +38,24 @@ fn workload(seed: u64) -> Vec<cackle::QueryArrival> {
     build_workload(&WorkloadSpec::hour_long(250, seed), &profile_set(10.0))
 }
 
+/// Run `w` through the system under the paper's `dynamic` strategy and
+/// export the telemetry sink attached to `spec`.
+fn dynamic_dump(w: &[cackle::QueryArrival], spec: &RunSpec) -> Result<String, RunError> {
+    let mut dynamic = make_strategy("dynamic", &spec.env)?;
+    run_system(w, dynamic.as_mut(), spec)?;
+    Ok(spec.telemetry.export_jsonl())
+}
+
 #[test]
-fn model_runs_are_byte_identical_across_repeats() {
+fn model_runs_are_byte_identical_across_repeats() -> Result<(), RunError> {
     let spec = RunSpec::new().with_timeseries(true);
     let run = || {
         let w = workload(11);
         let mut s = strategy(&spec.env);
-        report(&run_model_with(&w, &mut s, &spec))
+        Ok::<_, RunError>(report(&run_model(&w, &mut s, &spec)?))
     };
-    let first = run();
-    let second = run();
+    let first = run()?;
+    let second = run()?;
     assert!(
         first == second,
         "model reports diverged:\n--- a\n{first}\n--- b\n{second}"
@@ -53,40 +64,41 @@ fn model_runs_are_byte_identical_across_repeats() {
     // above is vacuous.
     let w = workload(12);
     let mut s = strategy(&spec.env);
-    let other = report(&run_model_with(&w, &mut s, &spec));
+    let other = report(&run_model(&w, &mut s, &spec)?);
     assert!(first != other, "seed change did not move the report");
+    Ok(())
 }
 
 #[test]
-fn system_runs_are_byte_identical_across_repeats() {
+fn system_runs_are_byte_identical_across_repeats() -> Result<(), RunError> {
     let spec = RunSpec::new();
     let run = || {
         let w = workload(13);
         let mut s = strategy(&spec.env);
-        report(&run_system_with(&w, &mut s, &spec))
+        Ok::<_, RunError>(report(&run_system(&w, &mut s, &spec)?))
     };
-    let first = run();
-    let second = run();
+    let first = run()?;
+    let second = run()?;
     assert!(
         first == second,
         "system reports diverged:\n--- a\n{first}\n--- b\n{second}"
     );
+    Ok(())
 }
 
 #[test]
-fn golden_telemetry_dumps_are_byte_identical() {
+fn golden_telemetry_dumps_are_byte_identical() -> Result<(), RunError> {
     // The tentpole guarantee of the telemetry crate: an identically-seeded
     // run produces a byte-identical JSONL dump — every counter, gauge,
     // histogram bucket, series point, cost cell, and trace event included.
     let dump = |seed: u64| {
         let w = workload(seed);
         let t = Telemetry::new();
-        let spec = RunSpec::new().with_strategy("dynamic").with_telemetry(&t);
-        run_system(&w, &spec);
-        t.export_jsonl()
+        let spec = RunSpec::new().with_telemetry(&t);
+        dynamic_dump(&w, &spec)
     };
-    let first = dump(17);
-    let second = dump(17);
+    let first = dump(17)?;
+    let second = dump(17)?;
     assert!(!first.is_empty());
     assert!(
         first == second,
@@ -95,7 +107,7 @@ fn golden_telemetry_dumps_are_byte_identical() {
         second.len()
     );
     // A seed change must move the dump, or the comparison is vacuous.
-    let other = dump(18);
+    let other = dump(18)?;
     assert!(
         first != other,
         "seed change did not move the telemetry dump"
@@ -103,10 +115,11 @@ fn golden_telemetry_dumps_are_byte_identical() {
     // And the dump passes the format checker that CI runs on example output.
     let errors = cackle_telemetry::check::check_dump(&first);
     assert!(errors.is_empty(), "{errors:?}");
+    Ok(())
 }
 
 #[test]
-fn golden_fault_run_dumps_are_byte_identical() {
+fn golden_fault_run_dumps_are_byte_identical() -> Result<(), RunError> {
     // Same guarantee with an *active* fault plan: the injected reclaims,
     // invoke failures, throttles, store errors, and stragglers — and all
     // the recovery work they trigger — replay identically from the seed.
@@ -114,7 +127,6 @@ fn golden_fault_run_dumps_are_byte_identical() {
         let w = workload(seed);
         let t = Telemetry::new();
         let spec = RunSpec::new()
-            .with_strategy("dynamic")
             .with_faults(
                 FaultSpec::default()
                     .with_spot_reclaims(4.0)
@@ -124,11 +136,10 @@ fn golden_fault_run_dumps_are_byte_identical() {
                     .with_stragglers(0.1, 2.5),
             )
             .with_telemetry(&t);
-        run_system(&w, &spec);
-        t.export_jsonl()
+        dynamic_dump(&w, &spec)
     };
-    let first = dump(19);
-    let second = dump(19);
+    let first = dump(19)?;
+    let second = dump(19)?;
     assert!(
         first.contains("fault.") && first.contains("recovery."),
         "fault plan was not active"
@@ -139,17 +150,18 @@ fn golden_fault_run_dumps_are_byte_identical() {
         first.len(),
         second.len()
     );
-    let other = dump(20);
+    let other = dump(20)?;
     assert!(
         first != other,
         "seed change did not move the fault-run dump"
     );
     let errors = cackle_telemetry::check::check_dump(&first);
     assert!(errors.is_empty(), "{errors:?}");
+    Ok(())
 }
 
 #[test]
-fn golden_dumps_are_byte_identical_across_worker_counts() {
+fn golden_dumps_are_byte_identical_across_worker_counts() -> Result<(), RunError> {
     // The headline guarantee of the stage executor: the worker count is
     // a pure throughput knob, never an input to the simulation. The
     // telemetry dump must not move by a byte between 1, 2 and 8 workers,
@@ -157,10 +169,7 @@ fn golden_dumps_are_byte_identical_across_worker_counts() {
     let dump = |workers: u32, faulted: bool| {
         let w = workload(23);
         let t = Telemetry::new();
-        let mut spec = RunSpec::new()
-            .with_strategy("dynamic")
-            .with_workers(workers)
-            .with_telemetry(&t);
+        let mut spec = RunSpec::new().with_workers(workers).with_telemetry(&t);
         if faulted {
             spec = spec.with_faults(
                 FaultSpec::default()
@@ -170,14 +179,13 @@ fn golden_dumps_are_byte_identical_across_worker_counts() {
                     .with_stragglers(0.1, 2.5),
             );
         }
-        run_system(&w, &spec);
-        t.export_jsonl()
+        dynamic_dump(&w, &spec)
     };
     for faulted in [false, true] {
-        let serial = dump(1, faulted);
+        let serial = dump(1, faulted)?;
         assert!(!serial.is_empty());
         for workers in [2u32, 8] {
-            let parallel = dump(workers, faulted);
+            let parallel = dump(workers, faulted)?;
             assert!(
                 serial == parallel,
                 "dump moved at {workers} workers (faulted {faulted}; lengths {} vs {})",
@@ -186,16 +194,17 @@ fn golden_dumps_are_byte_identical_across_worker_counts() {
             );
         }
     }
+    Ok(())
 }
 
 #[test]
-fn golden_env_run_dumps_are_byte_identical_across_worker_counts() {
+fn golden_env_run_dumps_are_byte_identical_across_worker_counts() -> Result<(), RunError> {
     // Same worker-count guarantee with the full environment model active:
     // per-VM heterogeneity, a moving spot market with reclaim storms, and
     // a remote region billing egress. Every environmental draw is a pure
     // keyed function of (seed, entity), never a stream consumption, so
     // the dump must not move by a byte between 1, 2 and 8 workers.
-    let env = cackle::EnvironmentSpec::default()
+    let env = EnvironmentSpec::default()
         .with_vm_heterogeneity(0.25, 2.0, 0.5)
         .with_market_motion(0.3, 900)
         .with_reclaim_storms(24.0, 600, 12.0)
@@ -204,20 +213,18 @@ fn golden_env_run_dumps_are_byte_identical_across_worker_counts() {
         let w = workload(29);
         let t = Telemetry::new();
         let spec = RunSpec::new()
-            .with_strategy("dynamic")
-            .with_environment(env.clone())
+            .with_faults(FaultSpec::default().with_environment(env.clone()))
             .with_workers(workers)
             .with_telemetry(&t);
-        run_system(&w, &spec);
-        t.export_jsonl()
+        dynamic_dump(&w, &spec)
     };
-    let serial = dump(1);
+    let serial = dump(1)?;
     assert!(
         serial.contains("env.vm_slowdown") && serial.contains("env.egress_bytes_total"),
         "environment model was not active"
     );
     for workers in [2u32, 8] {
-        let parallel = dump(workers);
+        let parallel = dump(workers)?;
         assert!(
             serial == parallel,
             "env dump moved at {workers} workers (lengths {} vs {})",
@@ -227,10 +234,11 @@ fn golden_env_run_dumps_are_byte_identical_across_worker_counts() {
     }
     let errors = cackle_telemetry::check::check_dump(&serial);
     assert!(errors.is_empty(), "{errors:?}");
+    Ok(())
 }
 
 #[test]
-fn zero_intensity_environment_leaves_the_dump_untouched() {
+fn zero_intensity_environment_leaves_the_dump_untouched() -> Result<(), RunError> {
     // The environment counterpart of the zero-rate fault guarantee: a
     // default (all-zero) environment spec compiles to artifacts that
     // record nothing and multiply by exactly 1.0, so attaching one must
@@ -238,25 +246,26 @@ fn zero_intensity_environment_leaves_the_dump_untouched() {
     let dump = |attached: bool| {
         let w = workload(31);
         let t = Telemetry::new();
-        let mut spec = RunSpec::new().with_strategy("dynamic").with_telemetry(&t);
+        let mut spec = RunSpec::new().with_telemetry(&t);
         if attached {
-            spec = spec.with_environment(cackle::EnvironmentSpec::default());
+            spec =
+                spec.with_faults(FaultSpec::default().with_environment(EnvironmentSpec::default()));
         }
-        run_system(&w, &spec);
-        t.export_jsonl()
+        dynamic_dump(&w, &spec)
     };
-    let plain = dump(false);
-    let zero = dump(true);
+    let plain = dump(false)?;
+    let zero = dump(true)?;
     assert!(
         plain == zero,
         "zero-intensity environment moved the dump (lengths {} vs {})",
         plain.len(),
         zero.len()
     );
+    Ok(())
 }
 
 #[test]
-fn zero_rate_fault_plan_leaves_the_dump_untouched() {
+fn zero_rate_fault_plan_leaves_the_dump_untouched() -> Result<(), RunError> {
     // The no-op guarantee: attaching an all-zero fault plan must not move
     // a single byte of the telemetry dump relative to no plan at all —
     // fault draws live on their own PRNG streams and a zero-rate point
@@ -264,19 +273,19 @@ fn zero_rate_fault_plan_leaves_the_dump_untouched() {
     let dump = |faulted: bool| {
         let w = workload(21);
         let t = Telemetry::new();
-        let mut spec = RunSpec::new().with_strategy("dynamic").with_telemetry(&t);
+        let mut spec = RunSpec::new().with_telemetry(&t);
         if faulted {
             spec = spec.with_faults(FaultSpec::default());
         }
-        run_system(&w, &spec);
-        t.export_jsonl()
+        dynamic_dump(&w, &spec)
     };
-    let plain = dump(false);
-    let zero_rate = dump(true);
+    let plain = dump(false)?;
+    let zero_rate = dump(true)?;
     assert!(
         plain == zero_rate,
         "zero-rate fault plan moved the dump (lengths {} vs {})",
         plain.len(),
         zero_rate.len()
     );
+    Ok(())
 }

@@ -11,7 +11,9 @@
 
 use cackle::model::build_workload;
 use cackle::system::run_system;
-use cackle::{run_live, FaultSpec, LiveQuery, RunResult, RunSpec, Telemetry};
+use cackle::{
+    run_live, FaultSpec, LiveQuery, MetaStrategy, RunError, RunResult, RunSpec, Telemetry,
+};
 use cackle_tpch::dbgen::{generate_catalog, DbGenConfig};
 use cackle_tpch::plans::{self, Par};
 use cackle_tpch::profiles::profile_set;
@@ -65,7 +67,7 @@ fn report(r: &RunResult) -> String {
 }
 
 #[test]
-fn live_fault_runs_are_worker_count_independent() {
+fn live_fault_runs_are_worker_count_independent() -> Result<(), RunError> {
     // Real queries through the engine: operator pipelines, hybrid
     // shuffle with transport drops and billed store fallback, straggler
     // draws, pool invoke failures — all at once.
@@ -90,20 +92,20 @@ fn live_fault_runs_are_worker_count_independent() {
     let run = |workers: u32| {
         let t = Telemetry::new();
         let spec = RunSpec::new()
-            .with_strategy("dynamic")
             .with_rows_per_task_second(5_000.0)
             .with_workers(workers)
             .with_faults(chaos())
             .with_telemetry(&t);
-        let r = run_live(&workload, &catalog, &spec);
-        (report(&r), counter_snapshot(&t), t.export_jsonl())
+        let mut dynamic = MetaStrategy::new(&spec.env);
+        let r = run_live(&workload, &catalog, &mut dynamic, &spec)?;
+        Ok::<_, RunError>((report(&r), counter_snapshot(&t), t.export_jsonl()))
     };
-    let (serial_report, serial_counters, serial_dump) = run(1);
+    let (serial_report, serial_counters, serial_dump) = run(1)?;
     assert!(
         serial_counters.iter().any(|&(_, v)| v > 0),
         "fault plan was not active: {serial_counters:?}"
     );
-    let (parallel_report, parallel_counters, parallel_dump) = run(8);
+    let (parallel_report, parallel_counters, parallel_dump) = run(8)?;
     assert_eq!(serial_counters, parallel_counters, "counters diverged");
     assert!(
         serial_report == parallel_report,
@@ -115,34 +117,36 @@ fn live_fault_runs_are_worker_count_independent() {
         serial_dump.len(),
         parallel_dump.len()
     );
+    Ok(())
 }
 
 #[test]
-fn system_fault_runs_are_worker_count_independent() {
+fn system_fault_runs_are_worker_count_independent() -> Result<(), RunError> {
     // The profile replay exercises the injection points live runs cannot
     // (spot reclaims, duplicate launches) through the same executor.
     let workload = build_workload(&WorkloadSpec::hour_long(250, 29), &profile_set(10.0));
     let run = |workers: u32| {
         let t = Telemetry::new();
         let spec = RunSpec::new()
-            .with_strategy("dynamic")
             .with_workers(workers)
             .with_faults(chaos())
             .with_telemetry(&t);
-        let r = run_system(&workload, &spec);
-        (report(&r), counter_snapshot(&t))
+        let mut dynamic = MetaStrategy::new(&spec.env);
+        let r = run_system(&workload, &mut dynamic, &spec)?;
+        Ok::<_, RunError>((report(&r), counter_snapshot(&t)))
     };
-    let (serial_report, serial_counters) = run(1);
+    let (serial_report, serial_counters) = run(1)?;
     assert!(
         serial_counters
             .iter()
             .any(|&(c, v)| c == "fault.spot_reclaims_total" && v > 0),
         "spot reclaims were not active: {serial_counters:?}"
     );
-    let (parallel_report, parallel_counters) = run(8);
+    let (parallel_report, parallel_counters) = run(8)?;
     assert_eq!(serial_counters, parallel_counters, "counters diverged");
     assert!(
         serial_report == parallel_report,
         "reports diverged:\n--- 1 worker\n{serial_report}\n--- 8 workers\n{parallel_report}"
     );
+    Ok(())
 }

@@ -4,7 +4,7 @@
 //! executor's headline determinism guarantee — the telemetry dump is
 //! byte-identical across worker counts and repeat runs.
 
-use cackle::{FaultSpec, RunSpec, Telemetry};
+use cackle::{make_strategy, FaultSpec, RunError, RunSpec, Telemetry};
 use cackle_serve::{run_serve, Runner, ServeSpec, TenantRegistry};
 use cackle_tpch::profiles::profile_set;
 use cackle_workload::arrivals::WorkloadSpec;
@@ -18,7 +18,7 @@ fn mild_faults() -> FaultSpec {
 }
 
 #[test]
-fn ledger_conserves_the_aggregate_bill_at_every_fanout() {
+fn ledger_conserves_the_aggregate_bill_at_every_fanout() -> Result<(), RunError> {
     // Differential check: the same aggregate demand split across 1, 7
     // and 100 tenants must always attribute back to the full-system
     // bill as exact integers — no drift from rounding, idle tenants, or
@@ -29,14 +29,15 @@ fn ledger_conserves_the_aggregate_bill_at_every_fanout() {
         for tenants in [1usize, 7, 100] {
             for faulted in [false, true] {
                 let aggregate = WorkloadSpec::hour_long(120, seed);
-                let mut run = RunSpec::new().with_strategy("dynamic");
+                let mut run = RunSpec::new();
                 if faulted {
                     run = run.with_faults(mild_faults());
                 }
                 let spec = ServeSpec::new(TenantRegistry::homogeneous(tenants, &aggregate))
                     .with_run(run)
                     .with_runner(Runner::System);
-                let r = run_serve(&spec, &mix).expect("serve run must succeed");
+                let mut dynamic = make_strategy("dynamic", &spec.run.env)?;
+                let r = run_serve(&spec, &mix, dynamic.as_mut())?;
                 let aggregate_micros = r.run.total_cost_micros();
                 assert!(aggregate_micros > 0, "vacuous run at seed {seed}");
                 let attributed: i64 = r.tenants.iter().map(|t| t.total_micros()).sum();
@@ -48,10 +49,11 @@ fn ledger_conserves_the_aggregate_bill_at_every_fanout() {
             }
         }
     }
+    Ok(())
 }
 
 #[test]
-fn serve_dumps_are_byte_identical_across_worker_counts() {
+fn serve_dumps_are_byte_identical_across_worker_counts() -> Result<(), RunError> {
     // The worker count is a pure throughput knob for the serve pipeline
     // too: admission, scheduling, attribution, and every `serve.*`
     // metric must not move by a byte between 1, 2 and 8 workers.
@@ -60,17 +62,13 @@ fn serve_dumps_are_byte_identical_across_worker_counts() {
         let t = Telemetry::new();
         let aggregate = WorkloadSpec::hour_long(100, seed);
         let spec = ServeSpec::new(TenantRegistry::homogeneous(7, &aggregate))
-            .with_run(
-                RunSpec::new()
-                    .with_strategy("dynamic")
-                    .with_workers(workers)
-                    .with_telemetry(&t),
-            )
+            .with_run(RunSpec::new().with_workers(workers).with_telemetry(&t))
             .with_runner(Runner::System);
-        run_serve(&spec, &mix).expect("serve run must succeed");
-        t.export_jsonl()
+        let mut dynamic = make_strategy("dynamic", &spec.run.env)?;
+        run_serve(&spec, &mix, dynamic.as_mut())?;
+        Ok::<_, RunError>(t.export_jsonl())
     };
-    let serial = dump(1, 23);
+    let serial = dump(1, 23)?;
     assert!(
         serial.contains("serve.admitted_total") && serial.contains("tenant.count"),
         "serving metrics missing from the dump"
@@ -78,7 +76,7 @@ fn serve_dumps_are_byte_identical_across_worker_counts() {
     let errors = cackle_telemetry::check::check_dump(&serial);
     assert!(errors.is_empty(), "{errors:?}");
     for workers in [2u32, 8] {
-        let parallel = dump(workers, 23);
+        let parallel = dump(workers, 23)?;
         assert!(
             serial == parallel,
             "dump moved at {workers} workers (lengths {} vs {})",
@@ -88,6 +86,7 @@ fn serve_dumps_are_byte_identical_across_worker_counts() {
     }
     // Re-runs are byte-stable; a different seed must actually move the
     // dump, or the checks above are vacuous.
-    assert!(serial == dump(1, 23), "repeat run diverged");
-    assert!(serial != dump(1, 24), "seed change did not move the dump");
+    assert!(serial == dump(1, 23)?, "repeat run diverged");
+    assert!(serial != dump(1, 24)?, "seed change did not move the dump");
+    Ok(())
 }
