@@ -54,6 +54,11 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> benchmark suite build and smoke tests"
+# crates/bench/suite is a workspace of its own that imports core's
+# hidden runner forwards; nothing above compiles it.
+cargo test --release --offline -q --manifest-path crates/bench/suite/Cargo.toml
+
 echo "==> operator-throughput bench smoke (kernel vs reference)"
 # --smoke shrinks the input so this exercises every kernel-vs-reference
 # pair end-to-end in well under a second; the full-size run (no flag)

@@ -16,10 +16,13 @@
 //! * [`shuffleprov`] — the §5.6 shuffle-node provisioner.
 //! * [`model`] — the §5.1 analytical model over query profiles.
 //! * [`delaying`] — the §5.5 work-delaying comparison system.
-//! * [`system`] — the full event-driven Cackle system: coordinator,
-//!   VM fleet + elastic pool, shuffle placement with S3 fallback, runtime
-//!   noise — the "real execution" side of Figures 12–14.
-//! * [`live`] — the same coordinator running real `cackle-engine` plans.
+//! * [`system`] — the full event-driven Cackle system: the one
+//!   coordinator (VM fleet + elastic pool, fault recovery, egress), here
+//!   replaying query profiles with runtime noise and modelled shuffle
+//!   placement — the "real execution" side of Figures 12–14.
+//! * [`live`] — the same coordinator over real `cackle-engine` plans:
+//!   task durations from the rows each task processed, shuffle bytes
+//!   through the hybrid node/object-store transport.
 //!
 //! One way to run a workload: one fallible entry per runner, each taking
 //! its strategy as an argument and validating spec and workload first.

@@ -1,48 +1,48 @@
 //! Live-engine execution: the full Cackle system running **real queries**.
 //!
-//! Where [`crate::system`] replays pre-measured profiles, this module runs
-//! actual `cackle-engine` plans over generated data: every task executes
-//! its operator pipeline, intermediate bytes travel through the
-//! [`HybridShuffle`] (capacity-limited shuffle nodes with billed
-//! object-store fallback), and each task's *simulated* duration is derived
-//! from the rows it actually processed at the calibrated task throughput —
-//! so the demand curve, the shuffle pressure, and therefore the strategy's
-//! behaviour all emerge from genuine execution rather than from a profile.
+//! Where [`run_system`](crate::system::run_system) replays pre-measured
+//! profiles, this module runs actual `cackle-engine` plans over generated
+//! data: every task executes its operator pipeline, intermediate bytes
+//! travel through the [`HybridShuffle`] (capacity-limited shuffle nodes
+//! with billed object-store fallback), and each task's *simulated*
+//! duration is derived from the rows it actually processed at the
+//! calibrated task throughput — so the demand curve, the shuffle
+//! pressure, and therefore the strategy's behaviour all emerge from
+//! genuine execution rather than from a profile.
 //!
 //! This is the closest analogue of the paper's §7.1 implementation: the
 //! same coordinator/compute/shuffle split, with the cloud simulated and
-//! the relational work real.
+//! the relational work real. The coordinator itself is the one in
+//! [`crate::system`]; this module supplies only the engine source behind
+//! it, so placement, fault recovery (spot reclaims, pool retries,
+//! straggler duplicates) and cross-region egress work exactly as in the
+//! profile replay.
 //!
 //! Entry point, like the other runners: [`run_live`]`(workload, catalog,
 //! strategy, spec)` returns `Result<RunResult, RunError>`, validating the
 //! spec and every plan's stage graph before any task executes.
 //!
-//! Fault injection (`crates/faults`): the spec's plan drives straggler
-//! slowdowns, pool invoke failures/throttles (bounded retry with
-//! deterministic backoff; exhaustion surfaces
-//! [`RunError::FaultUnrecovered`] from [`run_live`]), object-store
-//! transient errors (retried and billed inside [`ObjectStore`]), and
-//! transport drops (recovered by S3 fallback on writes and bounded
-//! retries on reads). Spot reclaims and duplicate launches are
-//! system-runner-only: live tasks execute eagerly at launch, so there is
-//! no mid-flight copy to reclaim or duplicate.
+//! Engine tasks execute eagerly when their stage starts, and the
+//! simulated copies that follow replay that one result: a reclaimed or
+//! duplicated task re-runs in simulated time only. Shuffle publication is
+//! idempotent, so the query output is the same as a direct execution.
+//! Object-store transient errors retry and bill inside [`ObjectStore`],
+//! and transport drops recover by S3 fallback on writes and bounded
+//! retries on reads.
 
-use crate::history::WorkloadHistory;
-use crate::report::{ComputeCost, RunResult, ShuffleCost, Timeseries};
-use crate::shuffleprov::ShuffleProvisioner;
+use crate::report::RunResult;
 use crate::spec::{check_stage_graph, RunError, RunSpec};
 use crate::strategy::ProvisioningStrategy;
+use crate::system::{coordinate, TaskSource, TaskWork};
 use crate::transport::HybridShuffle;
-use cackle_cloud::{
-    CostCategory, ElasticPool, EventQueue, InvocationId, ObjectStore, SimDuration, SimTime,
-    VmFleet, VmId,
-};
+use cackle_cloud::{CostLedger, ObjectStore};
 use cackle_engine::batch::Batch;
 use cackle_engine::executor::Executor;
 use cackle_engine::plan::StageDag;
 use cackle_engine::shuffle::ShuffleTransport;
 use cackle_engine::table::Catalog;
-use cackle_faults::InjectionPoint;
+use cackle_faults::FaultInjector;
+use cackle_telemetry::Telemetry;
 use std::sync::Arc;
 
 /// A query to run live: arrival time plus its physical plan.
@@ -54,48 +54,85 @@ pub struct LiveQuery {
     pub plan: Arc<StageDag>,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    Vm(VmId),
-    Pool(InvocationId),
+/// The engine source: a stage's tasks run their operator pipelines when
+/// the stage starts — across `spec.workers` threads via the
+/// deterministic stage executor, so the run is byte-identical at any
+/// worker count — and each task's duration follows from the rows it
+/// read.
+struct EngineSource<'a> {
+    workload: &'a [LiveQuery],
+    /// Each stage's dependencies, per query (`Stage::dependencies` walks
+    /// the operator tree, so it is computed once).
+    deps: Vec<Vec<Vec<usize>>>,
+    catalog: &'a Catalog,
+    executor: Executor,
+    store: Arc<ObjectStore>,
+    shuffle: HybridShuffle,
+    telemetry: Telemetry,
+    faults: FaultInjector,
+    rows_per_task_second: f64,
+    /// Each query's output batches, gathered only when asked for.
+    results: Option<Vec<Vec<Batch>>>,
 }
 
-enum Ev {
-    Arrive(usize),
-    TaskDone {
-        query: usize,
-        stage: usize,
-        slot: Slot,
-    },
-    /// Retry a pool launch whose invoke was failed by the fault plan,
-    /// after deterministic backoff.
-    PoolLaunch {
-        query: usize,
-        stage: usize,
-        dur: f64,
-        attempt: u32,
-    },
-    Second,
-    Tick,
-}
-
-struct QueryState {
-    arrival: SimTime,
-    remaining_tasks: Vec<u32>,
-    unfinished_deps: Vec<usize>,
-    stages_left: usize,
-}
-
-/// Check every plan can execute: the stage-graph invariants of
-/// `StageDag::new` (see [`check_stage_graph`]).
-fn check_plans(workload: &[LiveQuery]) -> Result<(), RunError> {
-    for (qi, q) in workload.iter().enumerate() {
-        check_stage_graph(
-            qi,
-            q.plan.stages.iter().map(|s| (s.tasks, s.dependencies())),
-        )?;
+impl TaskSource for EngineSource<'_> {
+    fn queries(&self) -> usize {
+        self.workload.len()
     }
-    Ok(())
+
+    fn query(&self, query: usize) -> (u64, &str) {
+        let q = &self.workload[query];
+        (q.at_s, &q.plan.name)
+    }
+
+    fn stages(&self, query: usize) -> usize {
+        self.deps[query].len()
+    }
+
+    fn stage(&self, query: usize, stage: usize) -> (u32, &[usize]) {
+        (
+            self.workload[query].plan.stages[stage].tasks,
+            &self.deps[query][stage],
+        )
+    }
+
+    fn start_stage(&mut self, query: usize, stage: usize, _: usize, out: &mut Vec<TaskWork>) {
+        // Shuffle bytes move at the stage barrier, in task-index order.
+        let ran = self.executor.execute_stage(
+            &self.workload[query].plan,
+            stage,
+            query as u64,
+            self.catalog,
+            &self.shuffle,
+            &self.telemetry,
+            &self.faults,
+        );
+        for r in ran {
+            if let (Some(batches), Some(results)) = (r.output, self.results.as_mut()) {
+                results[query].extend(batches);
+            }
+            let secs = (r.rows_in.max(1) as f64 / self.rows_per_task_second).max(0.2);
+            out.push(TaskWork {
+                base_s: secs,
+                nominal_s: secs,
+                bytes: r.shuffle_bytes_written,
+            });
+        }
+    }
+
+    fn stage_done(&mut self, _: usize, _: usize, _: usize) {}
+
+    fn query_done(&mut self, query: usize) {
+        self.shuffle.delete_query(query as u64);
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        self.shuffle.node_resident_bytes()
+    }
+
+    fn store_ledger(&self) -> CostLedger {
+        self.store.ledger()
+    }
 }
 
 /// Execute a live workload under `strategy`. The spec and every plan are
@@ -136,13 +173,10 @@ pub fn run_live_collect(
     run_live_inner(workload, catalog, strategy, spec, true).unwrap_or_else(|e| e.raise())
 }
 
-/// The live runner: validation, then the event loop. `keep_results`
-/// gathers each query's output batches (memory-heavy for big workloads).
-///
-/// Single-process: engine tasks run at event-processing time — across
-/// `spec.workers` threads via the deterministic stage executor (their
-/// wall time is irrelevant — simulated durations come from processed
-/// rows) — which keeps the run byte-identical at any worker count.
+/// The live runner: validate the spec and every plan's stage graph (the
+/// invariants of `StageDag::new`, see [`check_stage_graph`]), then run
+/// the coordinator over the engine source. `keep_results` gathers each
+/// query's output batches (memory-heavy for big workloads).
 fn run_live_inner(
     workload: &[LiveQuery],
     catalog: &Catalog,
@@ -151,316 +185,44 @@ fn run_live_inner(
     keep_results: bool,
 ) -> Result<(RunResult, Vec<Vec<Batch>>), RunError> {
     spec.validate()?;
-    check_plans(workload)?;
-    let env = &spec.env;
-    let pricing = env.pricing.clone();
-    let telemetry = spec.effective_telemetry();
-    strategy.set_telemetry(&telemetry);
-    let faults = spec.fault_injector(&telemetry)?;
-    let market = faults.price_timeline();
-    let store = Arc::new(ObjectStore::new(pricing.clone()));
-    store.instrument(&telemetry);
-    store.inject_faults(&faults);
-    // Shuffle nodes sized by the provisioner's floor; the node count is
-    // refreshed each second from the resident-state window like the
-    // simulated system. For placement we rebuild capacity by adjusting a
-    // target on the hybrid's node list — the transport is recreated is
-    // avoided by sizing to the floor (nodes beyond it only reduce S3
-    // traffic further, which keeps the cost accounting conservative).
-    let floor_nodes = (env.shuffle_min_bytes / pricing.shuffle_node_capacity_bytes).max(1) as usize;
-    let shuffle = HybridShuffle::new(
-        floor_nodes,
-        pricing.shuffle_node_capacity_bytes,
-        store.clone(),
-    )
-    .with_faults(&faults);
-
-    let mut events: EventQueue<Ev> = EventQueue::new();
-    let mut fleet = VmFleet::new(pricing.clone());
-    let mut pool = ElasticPool::new(pricing.clone());
-    let mut shuffle_fleet = VmFleet::with_category(pricing.clone(), CostCategory::ShuffleNode);
-    fleet.instrument("fleet", &telemetry);
-    pool.instrument(&telemetry);
-    shuffle_fleet.instrument("shuffle_fleet", &telemetry);
-    if !market.is_flat() {
-        // Spot-market motion from the environment model: both fleets
-        // integrate the compiled schedule at termination time.
-        fleet.set_price_timeline(market.clone());
-        shuffle_fleet.set_price_timeline(market);
-    }
-    let mut shuffle_prov = ShuffleProvisioner::new(env);
-    let mut history = WorkloadHistory::new();
-    let executor = Executor::new(spec.workers);
-
-    let mut queries: Vec<QueryState> = workload
+    let deps: Vec<Vec<Vec<usize>>> = workload
         .iter()
-        .map(|q| QueryState {
-            arrival: SimTime::from_secs(q.at_s),
-            remaining_tasks: q.plan.stages.iter().map(|s| s.tasks).collect(),
-            unfinished_deps: q
-                .plan
-                .stages
-                .iter()
-                .map(|s| s.dependencies().len())
-                .collect(),
-            stages_left: q.plan.stages.len(),
-        })
+        .map(|q| q.plan.stages.iter().map(|s| s.dependencies()).collect())
         .collect();
-    let mut latencies = vec![0.0f64; workload.len()];
-    let mut results: Vec<Vec<Batch>> = vec![Vec::new(); workload.len()];
-    let mut done = 0usize;
-    let mut running = 0u32;
-    let mut max_since = 0u32;
-    let mut target = 0u32;
-    let mut fatal: Option<RunError> = None;
-
-    for (i, q) in workload.iter().enumerate() {
-        events.schedule(SimTime::from_secs(q.at_s), Ev::Arrive(i));
+    for (qi, (q, d)) in workload.iter().zip(&deps).enumerate() {
+        check_stage_graph(qi, q.plan.stages.iter().zip(d).map(|(s, d)| (s.tasks, d)))?;
     }
-    if !workload.is_empty() {
-        events.schedule(SimTime::ZERO, Ev::Second);
-        events.schedule(SimTime::ZERO, Ev::Tick);
-    }
-
-    // Poll the execution fleet and tag every newly started VM with its
-    // persistent environment traits (env.* telemetry + remote-region
-    // billing rate; a zero environment records and tags nothing).
-    macro_rules! poll_fleet {
-        ($now:expr) => {{
-            for id in fleet.poll($now) {
-                let traits = faults.vm_started(id.0);
-                if traits.rate_milli != 1000 {
-                    fleet.set_vm_rate_milli(id, traits.rate_milli);
-                }
-            }
-        }};
-    }
-
-    // Launch a task's simulated run on the pool; an injected invoke
-    // failure backs off deterministically and retries via Ev::PoolLaunch,
-    // surfacing RunError::FaultUnrecovered once the bound is exhausted.
-    macro_rules! pool_launch {
-        ($now:expr, $qi:expr, $si:expr, $dur:expr, $attempt:expr) => {{
-            match pool.invoke_faulted($now, &faults) {
-                Some((id, start)) => {
-                    events.schedule(
-                        start + SimDuration::from_secs_f64($dur),
-                        Ev::TaskDone {
-                            query: $qi,
-                            stage: $si,
-                            slot: Slot::Pool(id),
-                        },
-                    );
-                }
-                None => {
-                    let policy = faults.policy();
-                    if policy.allows_retry($attempt) {
-                        let backoff = policy.backoff_ms($attempt);
-                        faults.note_retry(backoff);
-                        events.schedule(
-                            $now + SimDuration::from_millis(backoff),
-                            Ev::PoolLaunch {
-                                query: $qi,
-                                stage: $si,
-                                dur: $dur,
-                                attempt: $attempt + 1,
-                            },
-                        );
-                    } else {
-                        faults.note_unrecovered(InjectionPoint::PoolInvoke);
-                        fatal = Some(RunError::FaultUnrecovered {
-                            point: InjectionPoint::PoolInvoke.as_str(),
-                            attempts: $attempt + 1,
-                        });
-                    }
-                }
-            }
-        }};
-    }
-
-    // Launch every task of a stage: execute the engine tasks NOW across
-    // the worker pool (bytes move through the shuffle at the stage
-    // barrier, in task-index order) and schedule each task's completion
-    // at the simulated time its row count implies. The serial loop below
-    // the executor call draws stragglers and claims fleet/pool slots in
-    // task order, so the sequential fault streams and the scheduler see
-    // the same order at any worker count.
-    macro_rules! launch_stage {
-        ($now:expr, $qi:expr, $si:expr) => {{
-            let plan = &workload[$qi].plan;
-            let task_results = executor.execute_stage(
-                plan, $si, $qi as u64, catalog, &shuffle, &telemetry, &faults,
-            );
-            for r in task_results {
-                if let Some(batches) = r.output {
-                    if keep_results {
-                        results[$qi].extend(batches);
-                    }
-                }
-                // Straggler injection stretches the simulated duration
-                // (zero-rate plans make no draw at all).
-                let slowdown = faults.straggler().unwrap_or(1.0);
-                let work_s =
-                    (r.rows_in.max(1) as f64 / spec.rows_per_task_second).max(0.2) * slowdown;
-                running += 1;
-                max_since = max_since.max(running);
-                match fleet.try_assign($now) {
-                    Some(id) => {
-                        // Persistent per-VM heterogeneity: the seed-keyed
-                        // slowdown stretches every task this VM runs
-                        // (exactly 1.0 when the environment is inert).
-                        let dur_s = work_s * faults.vm_traits(id.0).slowdown;
-                        events.schedule(
-                            $now + SimDuration::from_secs_f64(dur_s),
-                            Ev::TaskDone {
-                                query: $qi,
-                                stage: $si,
-                                slot: Slot::Vm(id),
-                            },
-                        );
-                    }
-                    None => {
-                        pool_launch!($now, $qi, $si, work_s * spec.pool_slowdown, 0);
-                    }
-                }
-            }
-        }};
-    }
-
-    while let Some((now, ev)) = events.pop() {
-        match ev {
-            Ev::Arrive(qi) => {
-                let plan = workload[qi].plan.clone();
-                for si in 0..plan.stages.len() {
-                    if plan.stages[si].dependencies().is_empty() {
-                        launch_stage!(now, qi, si);
-                    }
-                }
-            }
-            Ev::TaskDone { query, stage, slot } => {
-                match slot {
-                    Slot::Vm(id) => fleet.release(now, id),
-                    Slot::Pool(id) => {
-                        pool.complete(now, id);
-                    }
-                }
-                running = running.saturating_sub(1);
-                let q = &mut queries[query];
-                q.remaining_tasks[stage] = q.remaining_tasks[stage].saturating_sub(1);
-                if q.remaining_tasks[stage] == 0 {
-                    q.stages_left = q.stages_left.saturating_sub(1);
-                    if q.stages_left == 0 {
-                        let latency = (now - q.arrival).as_secs_f64();
-                        latencies[query] = latency;
-                        shuffle.delete_query(query as u64);
-                        done += 1;
-                        telemetry.counter_add("run.queries_total", 1);
-                        telemetry.observe("run.query_latency_seconds", latency);
-                        telemetry.span_event(
-                            q.arrival.as_millis(),
-                            now.as_millis().saturating_sub(q.arrival.as_millis()),
-                            "query",
-                            Some(query as u64),
-                            None,
-                            &workload[query].plan.name,
-                        );
-                    } else {
-                        let plan = workload[query].plan.clone();
-                        for si in 0..plan.stages.len() {
-                            if plan.stages[si].dependencies().contains(&stage) {
-                                let q = &mut queries[query];
-                                q.unfinished_deps[si] = q.unfinished_deps[si].saturating_sub(1);
-                                if q.unfinished_deps[si] == 0 {
-                                    launch_stage!(now, query, si);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            Ev::PoolLaunch {
-                query,
-                stage,
-                dur,
-                attempt,
-            } => {
-                pool_launch!(now, query, stage, dur, attempt);
-            }
-            Ev::Second => {
-                poll_fleet!(now);
-                shuffle_fleet.poll(now);
-                history.push(max_since.max(running));
-                max_since = running;
-                // Shuffle-node billing tracks the provisioner target driven
-                // by *real* resident bytes on the transport.
-                let st = shuffle_prov.target_nodes(shuffle.node_resident_bytes());
-                shuffle_fleet.set_target(now, st as usize);
-                if telemetry.is_enabled() {
-                    let t_ms = now.as_millis();
-                    telemetry.sample("run.demand", t_ms, history.latest() as f64);
-                    telemetry.sample("run.target", t_ms, target as f64);
-                    telemetry.sample("run.active", t_ms, fleet.running_count() as f64);
-                }
-                if done < workload.len() || running > 0 {
-                    events.schedule(now + SimDuration::from_secs(1), Ev::Second);
-                } else {
-                    fleet.set_target(now, 0);
-                    shuffle_fleet.set_target(now, 0);
-                }
-            }
-            Ev::Tick => {
-                target = strategy.target(now.as_secs(), &history, env);
-                fleet.set_target(now, target as usize);
-                poll_fleet!(now);
-                if done < workload.len() || running > 0 {
-                    events.schedule(now + env.strategy_tick, Ev::Tick);
-                }
-            }
+    let engine = |telemetry: &Telemetry, faults: &FaultInjector| {
+        let pricing = &spec.env.pricing;
+        let store = Arc::new(ObjectStore::new(pricing.clone()));
+        store.instrument(telemetry);
+        store.inject_faults(faults);
+        // The transport keeps the provisioner's floor node count for the
+        // whole run, while the billed shuffle fleet follows the
+        // provisioner's target each second.
+        let floor_nodes =
+            (spec.env.shuffle_min_bytes / pricing.shuffle_node_capacity_bytes).max(1) as usize;
+        let shuffle = HybridShuffle::new(
+            floor_nodes,
+            pricing.shuffle_node_capacity_bytes,
+            store.clone(),
+        )
+        .with_faults(faults);
+        EngineSource {
+            workload,
+            deps,
+            catalog,
+            executor: Executor::new(spec.workers),
+            store,
+            shuffle,
+            telemetry: telemetry.clone(),
+            faults: faults.clone(),
+            rows_per_task_second: spec.rows_per_task_second,
+            results: keep_results.then(|| vec![Vec::new(); workload.len()]),
         }
-        if fatal.is_some() {
-            break;
-        }
-    }
-    if let Some(e) = fatal.take() {
-        return Err(e);
-    }
-
-    let end = SimTime::from_secs(history.len() as u64);
-    fleet.set_target(end, 0);
-    fleet.finalize(end);
-    shuffle_fleet.finalize(end);
-    let store_ledger = store.ledger();
-    telemetry.gauge_set("run.duration_seconds", history.len() as f64);
-
-    let run = RunResult {
-        compute: ComputeCost {
-            vm_cost: fleet.ledger().category(CostCategory::VmCompute),
-            pool_cost: pool.ledger().category(CostCategory::ElasticPool),
-            vm_seconds: fleet.ledger().vm_seconds,
-            pool_seconds: pool.ledger().pool_seconds,
-        },
-        shuffle: ShuffleCost {
-            node_cost: shuffle_fleet.ledger().category(CostCategory::ShuffleNode),
-            s3_put_cost: store_ledger.category(CostCategory::S3Put),
-            s3_get_cost: store_ledger.category(CostCategory::S3Get),
-            // Regions (and their egress) are modeled by the system
-            // runner and the analytical model; live tasks all execute
-            // in-process, like spot reclaims are system-runner-only.
-            egress_cost: 0.0,
-            puts: store_ledger.put_requests,
-            gets: store_ledger.get_requests,
-        },
-        latencies,
-        timeseries: if spec.record_timeseries {
-            Timeseries::from_telemetry(&telemetry)
-        } else {
-            None
-        },
-        duration_s: history.len() as u64,
-        strategy: strategy.name(),
-        telemetry,
     };
-    Ok((run, results))
+    let (run, engine) = coordinate(strategy, spec, engine)?;
+    Ok((run, engine.results.unwrap_or_default()))
 }
 
 #[cfg(test)]
@@ -544,6 +306,50 @@ mod tests {
         let r = run_live(&w, &catalog, &mut strategy, &spec).expect("valid run");
         assert!(r.compute.vm_seconds > 0.0, "VMs should run tasks");
         assert!(r.compute.pool_seconds > 0.0, "cold start uses the pool");
+    }
+
+    #[test]
+    fn live_runs_reclaim_duplicate_and_bill_egress() {
+        use cackle_engine::shuffle::MemoryShuffle;
+        use cackle_engine::task::execute_query;
+        use cackle_faults::{EnvironmentSpec, FaultSpec};
+        use cackle_telemetry::Telemetry;
+        let catalog = tiny_catalog();
+        // Queries keep arriving after the 180 s VM startup, so VM tasks
+        // exist to reclaim and to land on the remote region.
+        let w: Vec<LiveQuery> = (0..16)
+            .flat_map(|i| live_workload(&[("q04", i * 20)]))
+            .collect();
+        let t = Telemetry::new();
+        // The tiny catalog publishes kilobytes per task; a steep egress
+        // price keeps each remote task's charge above one micro-dollar.
+        let env = EnvironmentSpec::default().with_remote_region(0.5, 700, 20_000_000_000);
+        let faults = FaultSpec::default()
+            .with_spot_reclaims(600.0)
+            .with_stragglers(0.3, 4.0)
+            .with_environment(env);
+        let spec = RunSpec::new()
+            .with_rows_per_task_second(2_000.0)
+            .with_faults(faults)
+            .with_telemetry(&t);
+        let mut strategy = FixedStrategy { vms: 4 };
+        let (run, results) = run_live_collect(&w, &catalog, &mut strategy, &spec);
+        assert!(t.counter("fault.spot_reclaims_total") > 0);
+        assert!(t.counter("recovery.task_reexecs_total") > 0);
+        assert!(t.counter("recovery.duplicates_launched_total") > 0);
+        assert!(run.shuffle.egress_cost > 0.0);
+        assert_eq!(run.shuffle.egress_cost, t.cost("env", "egress"));
+        assert_eq!(t.counter("run.queries_total"), 16);
+        assert!(run.latencies.iter().all(|&l| l > 0.0));
+        // Reclaimed and duplicated copies re-run in simulated time only;
+        // shuffle publication is idempotent, so every answer still
+        // matches a direct execution.
+        let dag = &w[0].plan;
+        let direct = execute_query(dag, 1, &catalog, &MemoryShuffle::new());
+        for out in &results {
+            let gathered = Batch::concat(dag.final_stage().output_schema.clone(), out);
+            assert_eq!(gathered, direct);
+        }
     }
 
     #[test]

@@ -61,8 +61,8 @@ pub struct RunSpec {
     /// simulated work seconds.
     pub rows_per_task_second: f64,
     /// Fault injection plan spec (see `crates/faults`), including spot
-    /// reclaims (`faults.spot_reclaims_per_vm_hour`, system runner only)
-    /// and the environment model (`faults.environment`: per-VM
+    /// reclaims (`faults.spot_reclaims_per_vm_hour`; `run_system` and
+    /// `run_live`) and the environment model (`faults.environment`: per-VM
     /// heterogeneity, spot-market motion, reclaim storms, a second
     /// region). All-zero by default, which compiles to a guaranteed
     /// no-op.
@@ -74,10 +74,12 @@ pub struct RunSpec {
     /// [`RunSpec::with_telemetry`] to collect metrics, traces, and cost
     /// attribution (see `crates/telemetry`).
     pub telemetry: Telemetry,
-    /// Worker threads for stage execution (`cackle_engine::executor`).
-    /// Defaults to 1 (serial). A pure throughput knob: changing it must
-    /// not move a single byte of any report or telemetry dump — worker
-    /// count is deliberately not part of the seed (DESIGN.md §9).
+    /// Worker threads for engine stage execution
+    /// (`cackle_engine::executor`); only the live runner executes engine
+    /// work, so this sizes only its executor. Defaults to 1 (serial). A
+    /// pure throughput knob: changing it must not move a single byte of
+    /// any report or telemetry dump — worker count is deliberately not
+    /// part of the seed (DESIGN.md §9).
     pub workers: u32,
 }
 

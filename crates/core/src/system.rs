@@ -11,6 +11,15 @@
 //! tasks run ~25 % slower than VM tasks (§7.1.2) with lognormal jitter.
 //! Figures 12–13 validate the analytical model against exactly this gap.
 //!
+//! One coordinator serves both runners. It is generic over a
+//! crate-private `TaskSource`, which answers only what differs between
+//! them: the stage graph, each task's work when its stage starts, the
+//! stage- and query-done hooks, the resident shuffle bytes, and the
+//! object-store bill. [`run_system`] replays measured profiles;
+//! [`run_live`](crate::live::run_live) executes real engine plans.
+//! Placement, faults, recovery, egress and the per-second bookkeeping
+//! are the coordinator's alone.
+//!
 //! Entry point: [`run_system`]`(workload, strategy, spec)` returns
 //! `Result<RunResult, RunError>`. The spec and the workload are checked
 //! before any event is scheduled — malformed profiles (no stages,
@@ -40,10 +49,206 @@ use cackle_cloud::{
     egress_micros, CostCategory, CostLedger, ElasticPool, EventQueue, InvocationId, Pricing,
     SimDuration, SimTime, VmFleet, VmId,
 };
-use cackle_engine::executor::Executor;
 use cackle_faults::{EnvironmentSpec, FaultInjector, InjectionPoint, StoreOp};
 use cackle_prng::Pcg32;
+use cackle_telemetry::Telemetry;
 use std::collections::BTreeMap;
+
+/// One task's work, as its source reports it when the stage starts.
+#[derive(Debug)]
+pub(crate) struct TaskWork {
+    /// Seconds a re-execution or straggler duplicate runs, before the
+    /// pool slowdown.
+    pub base_s: f64,
+    /// Seconds the first copy runs, before straggler, pool and per-VM
+    /// slowdown.
+    pub nominal_s: f64,
+    /// Shuffle bytes the task publishes: egress when the winning copy
+    /// ran on a remote VM.
+    pub bytes: u64,
+}
+
+/// What the coordinator asks of a workload — only the questions where
+/// the profile replay and the live engine really differ.
+pub(crate) trait TaskSource {
+    /// Number of queries.
+    fn queries(&self) -> usize;
+    /// Arrival second and name of `query`.
+    fn query(&self, query: usize) -> (u64, &str);
+    /// Number of stages of `query`.
+    fn stages(&self, query: usize) -> usize;
+    /// Task count and dependencies of one stage.
+    fn stage(&self, query: usize, stage: usize) -> (u32, &[usize]);
+    /// A stage starts while `shuffle_nodes` shuffle nodes run: push each
+    /// task's work onto `out`, in task order.
+    fn start_stage(
+        &mut self,
+        query: usize,
+        stage: usize,
+        shuffle_nodes: usize,
+        out: &mut Vec<TaskWork>,
+    );
+    /// The last task of a stage completed for the first time.
+    fn stage_done(&mut self, query: usize, stage: usize, shuffle_nodes: usize);
+    /// The last stage of `query` completed.
+    fn query_done(&mut self, query: usize);
+    /// Shuffle bytes resident right now: the shuffle provisioner's input.
+    fn resident_bytes(&self) -> u64;
+    /// The object-store half of the shuffle bill: request counts and
+    /// dollars.
+    fn store_ledger(&self) -> CostLedger;
+}
+
+/// The profile replay: each task runs its stage's measured seconds with
+/// lognormal jitter, and the shuffle tier is modelled from the stages'
+/// byte and request counts.
+struct ProfileReplay<'a> {
+    workload: &'a [QueryArrival],
+    pricing: &'a Pricing,
+    duration_jitter: f64,
+    /// The runner's main RNG; only the jitter draws from it.
+    rng: Pcg32,
+    faults: FaultInjector,
+    /// Shuffle bytes each query holds resident until it completes.
+    resident: Vec<u64>,
+    resident_total: u64,
+    /// Object-store request counts and charges (priced through the
+    /// ledger so no raw dollar arithmetic happens outside the billing
+    /// layer).
+    s3_ledger: CostLedger,
+    /// Retried store requests, attributed to the `recovery` component
+    /// like the coordinator's re-executions and duplicates.
+    retry_ledger: CostLedger,
+}
+
+impl<'a> ProfileReplay<'a> {
+    fn new(
+        workload: &'a [QueryArrival],
+        spec: &'a RunSpec,
+        telemetry: &Telemetry,
+        faults: &FaultInjector,
+    ) -> Self {
+        let mut s3_ledger = CostLedger::new();
+        s3_ledger.instrument("store", telemetry);
+        let mut retry_ledger = CostLedger::new();
+        retry_ledger.instrument("recovery", telemetry);
+        ProfileReplay {
+            workload,
+            pricing: &spec.env.pricing,
+            duration_jitter: spec.duration_jitter,
+            rng: Pcg32::seed_from_u64(spec.seed),
+            faults: faults.clone(),
+            resident: vec![0; workload.len()],
+            resident_total: 0,
+            s3_ledger,
+            retry_ledger,
+        }
+    }
+
+    /// Fraction of shuffle requests that miss the node tier right now.
+    fn overflow_fraction(&self, shuffle_nodes: usize) -> f64 {
+        let cap = shuffle_nodes as u64 * self.pricing.shuffle_node_capacity_bytes;
+        if self.resident_total > cap && self.resident_total > 0 {
+            (self.resident_total - cap) as f64 / self.resident_total as f64
+        } else {
+            0.0
+        }
+    }
+
+    /// Bill `n` modeled store requests: injected transient 5xx errors
+    /// retry internally within the recovery bound, and every attempt
+    /// bills (S3 bills errored requests too). The extra attempts are
+    /// attributed to the recovery component.
+    fn bill_store_requests(&mut self, n: u64, op: StoreOp) {
+        let (category, unit) = match op {
+            StoreOp::Get => (CostCategory::S3Get, self.pricing.s3_get),
+            StoreOp::Put => (CostCategory::S3Put, self.pricing.s3_put),
+        };
+        let mut billed = n;
+        if self.faults.is_enabled() {
+            billed = (0..n).map(|_| self.faults.store_attempts(op)).sum();
+            self.retry_ledger
+                .charge_requests(category, billed - n, unit);
+        }
+        match op {
+            StoreOp::Get => self.s3_ledger.get_requests += billed,
+            StoreOp::Put => self.s3_ledger.put_requests += billed,
+        }
+        self.s3_ledger.charge_requests(category, billed, unit);
+    }
+}
+
+impl TaskSource for ProfileReplay<'_> {
+    fn queries(&self) -> usize {
+        self.workload.len()
+    }
+
+    fn query(&self, query: usize) -> (u64, &str) {
+        let q = &self.workload[query];
+        (q.at_s, &q.profile.name)
+    }
+
+    fn stages(&self, query: usize) -> usize {
+        self.workload[query].profile.stages.len()
+    }
+
+    fn stage(&self, query: usize, stage: usize) -> (u32, &[usize]) {
+        let s = &self.workload[query].profile.stages[stage];
+        (s.tasks, &s.deps)
+    }
+
+    fn start_stage(
+        &mut self,
+        query: usize,
+        stage: usize,
+        shuffle_nodes: usize,
+        out: &mut Vec<TaskWork>,
+    ) {
+        let sp = &self.workload[query].profile.stages[stage];
+        // Reads happen at stage start; the node tier serves what fits.
+        let gets = (sp.shuffle_reads as f64 * self.overflow_fraction(shuffle_nodes)).round();
+        self.bill_store_requests(gets as u64, StoreOp::Get);
+        // Each task publishes its rounded share of the stage's bytes.
+        let tasks = u64::from(sp.tasks.max(1));
+        let bytes = (sp.shuffle_bytes + tasks / 2) / tasks;
+        let base_s = sp.task_seconds as f64;
+        for _ in 0..sp.tasks {
+            let jitter = if self.duration_jitter > 0.0 {
+                let u: f64 = self.rng.gen_range(-1.0..1.0);
+                (u * self.duration_jitter).exp()
+            } else {
+                1.0
+            };
+            out.push(TaskWork {
+                base_s,
+                nominal_s: base_s * jitter,
+                bytes,
+            });
+        }
+    }
+
+    fn stage_done(&mut self, query: usize, stage: usize, shuffle_nodes: usize) {
+        // Stage output lands in the shuffle tier.
+        let sp = &self.workload[query].profile.stages[stage];
+        self.resident[query] += sp.shuffle_bytes;
+        self.resident_total += sp.shuffle_bytes;
+        let puts = (sp.shuffle_writes as f64 * self.overflow_fraction(shuffle_nodes)).round();
+        self.bill_store_requests(puts as u64, StoreOp::Put);
+    }
+
+    fn query_done(&mut self, query: usize) {
+        self.resident_total = self.resident_total.saturating_sub(self.resident[query]);
+        self.resident[query] = 0;
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        self.resident_total
+    }
+
+    fn store_ledger(&self) -> CostLedger {
+        self.s3_ledger.clone()
+    }
+}
 
 /// Where a task ran.
 #[derive(Debug, Clone, Copy)]
@@ -93,8 +298,10 @@ enum Ev {
 struct TaskAttempt {
     query: usize,
     stage: usize,
-    /// Nominal profile seconds before jitter and slowdown.
+    /// Seconds a re-execution or duplicate runs before pool slowdown.
     base_secs: f64,
+    /// Shuffle bytes the winning copy publishes.
+    bytes: u64,
     /// A copy already completed and was credited to the stage.
     done: bool,
     /// Physical copies alive: scheduled completion/interruption events
@@ -108,34 +315,36 @@ struct QueryState {
     remaining_tasks: Vec<u32>,
     unfinished_deps: Vec<usize>,
     stages_left: usize,
-    resident_bytes: u64,
 }
 
-struct SystemState<'a> {
+/// One run's coordinator state: the cloud substrate, the task attempts
+/// in flight and each query's progress.
+struct Coordinator<'a, S> {
     spec: &'a RunSpec,
-    rng: Pcg32,
+    source: S,
+    telemetry: Telemetry,
+    events: EventQueue<Ev>,
     fleet: VmFleet,
     pool: ElasticPool,
     shuffle_fleet: VmFleet,
+    queries: Vec<QueryState>,
+    latencies: Vec<f64>,
+    done: usize,
     running: u32,
     max_since_sample: u32,
-    resident_total: u64,
-    puts: u64,
-    gets: u64,
-    /// Object-store request charges (puts/gets priced through the ledger
-    /// so no raw dollar arithmetic happens outside the billing layer).
-    s3_ledger: CostLedger,
     /// Seeded fault plan + recovery policy; disabled when the effective
     /// spec is all-zero (the guaranteed no-op path).
     faults: FaultInjector,
-    /// Live task attempts keyed by token (BTreeMap for deterministic
+    /// Task attempts in flight, keyed by token (BTreeMap for deterministic
     /// iteration, lint L3).
     attempts: BTreeMap<u64, TaskAttempt>,
     next_token: u64,
-    /// Extra spend attributable to fault recovery — duplicate launches,
-    /// spot re-executions, retried store requests. Telemetry attribution
-    /// only; the primary ledgers already bill the real resources, so this
-    /// is never added to the `RunResult` totals.
+    /// Reused buffer for the work of the stage being launched.
+    work: Vec<TaskWork>,
+    /// Extra spend attributable to fault recovery — duplicate launches
+    /// and spot re-executions. Telemetry attribution only; the primary
+    /// ledgers already bill the real resources, so this is never added
+    /// to the `RunResult` totals.
     recovery_ledger: CostLedger,
     /// Cross-region shuffle-egress charges from the environment model's
     /// second region, instrumented as component `env`. Its `Egress`
@@ -148,14 +357,9 @@ struct SystemState<'a> {
     /// Set when recovery exhausts its bound; aborts the event loop with a
     /// typed error instead of panicking or hanging.
     fatal: Option<RunError>,
-    /// Worker pool for per-task stage work (`spec.workers` threads). The
-    /// profile replay dispatches its pure duration arithmetic through it
-    /// so the system runner exercises the same worker-count-independent
-    /// path as the live runner.
-    executor: Executor,
 }
 
-impl SystemState<'_> {
+impl<S: TaskSource> Coordinator<'_, S> {
     /// Poll the execution fleet and tag every newly started VM with its
     /// persistent environment traits: records the `env.vm_slowdown`
     /// histogram and regional counters, and installs the remote-region
@@ -170,47 +374,9 @@ impl SystemState<'_> {
         }
     }
 
-    /// Fraction of shuffle requests that miss the node tier right now.
-    fn overflow_fraction(&self) -> f64 {
-        let cap = self.shuffle_fleet.running_count() as u64
-            * self.spec.env.pricing.shuffle_node_capacity_bytes;
-        if self.resident_total > cap && self.resident_total > 0 {
-            (self.resident_total - cap) as f64 / self.resident_total as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// Billed object-store requests for `n` modeled requests: injected
-    /// transient 5xx errors retry internally within the recovery bound,
-    /// and every attempt bills (S3 bills errored requests too). The
-    /// extra attempts are attributed to the recovery ledger.
-    fn billed_store_requests(&mut self, n: u64, op: StoreOp) -> u64 {
-        if !self.faults.is_enabled() {
-            return n;
-        }
-        let mut total = 0u64;
-        for _ in 0..n {
-            total += self.faults.store_attempts(op);
-        }
-        let category = match op {
-            StoreOp::Get => CostCategory::S3Get,
-            StoreOp::Put => CostCategory::S3Put,
-        };
-        let unit = match op {
-            StoreOp::Get => self.spec.env.pricing.s3_get,
-            StoreOp::Put => self.spec.env.pricing.s3_put,
-        };
-        self.recovery_ledger
-            .charge_requests(category, total - n, unit);
-        total
-    }
-
-    /// Register one more physical copy of `token`.
-    fn add_copy(&mut self, token: u64) {
-        if let Some(a) = self.attempts.get_mut(&token) {
-            a.copies += 1;
-        }
+    /// Whether queries or tasks are still outstanding.
+    fn busy(&self) -> bool {
+        self.done < self.queries.len() || self.running > 0
     }
 
     /// A physical copy ended without completing (abandoned retry chain,
@@ -230,18 +396,10 @@ impl SystemState<'_> {
     /// injected invoke failure retries with deterministic backoff via a
     /// [`Ev::PoolLaunch`] event; once the policy's bound is exhausted the
     /// run aborts with [`RunError::FaultUnrecovered`].
-    fn launch_on_pool(
-        &mut self,
-        events: &mut EventQueue<Ev>,
-        now: SimTime,
-        token: u64,
-        dur_s: f64,
-        attempt: u32,
-        dup: bool,
-    ) {
+    fn launch_on_pool(&mut self, now: SimTime, token: u64, dur_s: f64, attempt: u32, dup: bool) {
         match self.pool.invoke_faulted(now, &self.faults) {
             Some((id, start)) => {
-                events.schedule(
+                self.events.schedule(
                     start + SimDuration::from_secs_f64(dur_s),
                     Ev::TaskDone {
                         token,
@@ -255,7 +413,7 @@ impl SystemState<'_> {
                 if policy.allows_retry(attempt) {
                     let backoff = policy.backoff_ms(attempt);
                     self.faults.note_retry(backoff);
-                    events.schedule(
+                    self.events.schedule(
                         now + SimDuration::from_millis(backoff),
                         Ev::PoolLaunch {
                             token,
@@ -277,104 +435,52 @@ impl SystemState<'_> {
 
     /// Schedule a straggler duplicate check once the non-straggled
     /// duration (plus the policy's patience factor) has elapsed.
-    fn schedule_dup_check(
-        &mut self,
-        events: &mut EventQueue<Ev>,
-        now: SimTime,
-        token: u64,
-        nominal_s: f64,
-    ) {
+    fn schedule_dup_check(&mut self, now: SimTime, token: u64, nominal_s: f64) {
         let policy = self.faults.policy();
         if policy.duplicate_stragglers {
-            events.schedule(
+            self.events.schedule(
                 now + SimDuration::from_secs_f64(nominal_s * policy.straggler_patience),
                 Ev::DupCheck { token },
             );
         }
     }
 
-    fn launch_stage(
-        &mut self,
-        events: &mut EventQueue<Ev>,
-        now: SimTime,
-        workload: &[QueryArrival],
-        qi: usize,
-        si: usize,
-    ) {
-        let Some(stage) = workload.get(qi).and_then(|q| q.profile.stages.get(si)) else {
-            debug_assert!(false, "launch of missing stage {qi}/{si}");
-            return;
-        };
-        // Reads happen at stage start; the node tier serves what fits.
-        let f = self.overflow_fraction();
-        let gets = (stage.shuffle_reads as f64 * f).round() as u64;
-        let billed = self.billed_store_requests(gets, StoreOp::Get);
-        self.gets += billed;
-        self.s3_ledger
-            .charge_requests(CostCategory::S3Get, billed, self.spec.env.pricing.s3_get);
-        // Phase 1 (serial, task order): every stochastic draw whose stream
-        // position matters. Jitter comes from the main RNG and stragglers
-        // from the plan's dedicated stream, so both sequences stay
-        // byte-identical to the single-threaded runner regardless of
-        // `spec.workers` (zero-rate plans make no straggler draw at all,
-        // so the main RNG sequence is untouched).
-        let base = stage.task_seconds as f64;
-        let draws: Vec<(f64, f64)> = (0..stage.tasks)
-            .map(|_| {
-                let jitter = if self.spec.duration_jitter > 0.0 {
-                    let u: f64 = self.rng.gen_range(-1.0..1.0);
-                    (u * self.spec.duration_jitter).exp()
-                } else {
-                    1.0
-                };
-                let slowdown = self.faults.straggler().unwrap_or(1.0);
-                (jitter, slowdown)
-            })
-            .collect();
-        // Phase 2 (parallel): pure per-task duration arithmetic through
-        // the worker pool. Results land in index-addressed slots, so any
-        // worker count produces the same vector. Tuple layout:
-        // (vm duration, vm nominal, pool duration, pool nominal).
+    /// Start every task of a stage: the source reports each task's work,
+    /// then, in task order, the coordinator draws its straggler factor
+    /// and places it on a VM or, as overflow, on the pool.
+    fn launch_stage(&mut self, now: SimTime, query: usize, stage: usize) {
+        let mut work = std::mem::take(&mut self.work);
+        let shuffle_nodes = self.shuffle_fleet.running_count();
+        self.source
+            .start_stage(query, stage, shuffle_nodes, &mut work);
         let pool_slowdown = self.spec.pool_slowdown;
-        let durations: Vec<(f64, f64, f64, f64)> = self.executor.run_indexed(draws.len(), |i| {
-            let (jitter, slowdown) = draws[i];
-            let nominal = base * jitter;
-            (
-                nominal * slowdown,
-                nominal,
-                nominal * pool_slowdown * slowdown,
-                nominal * pool_slowdown,
-            )
-        });
-        // Phase 3 (serial, task order): token allocation, capacity
-        // bookkeeping, and event scheduling — order-sensitive state that
-        // must advance exactly as in the single-threaded loop.
-        for (task, (jitter, slowdown)) in draws.into_iter().enumerate() {
-            let (vm_dur, vm_nominal, pool_dur, pool_nominal) = durations[task];
-            debug_assert!((vm_dur - base * jitter * slowdown).abs() < 1e-12);
+        for w in work.drain(..) {
+            // Stragglers come from the plan's dedicated stream; zero-rate
+            // plans make no draw at all.
+            let slowdown = self.faults.straggler().unwrap_or(1.0);
             let token = self.next_token;
             self.next_token += 1;
             self.attempts.insert(
                 token,
                 TaskAttempt {
-                    query: qi,
-                    stage: si,
-                    base_secs: base,
+                    query,
+                    stage,
+                    base_secs: w.base_s,
+                    bytes: w.bytes,
                     done: false,
-                    copies: 0,
+                    copies: 1,
                     dup_launched: false,
                 },
             );
             self.running += 1;
             self.max_since_sample = self.max_since_sample.max(self.running);
-            self.add_copy(token);
             match self.fleet.try_assign(now) {
                 Some(id) => {
                     // Persistent per-VM heterogeneity: the environment's
                     // seed-keyed slowdown stretches every task this VM
                     // runs. An inert environment yields exactly 1.0, a
                     // bit-identical no-op multiply.
-                    let dur_s = vm_dur * self.faults.vm_traits(id.0).slowdown;
+                    let dur_s = w.nominal_s * slowdown * self.faults.vm_traits(id.0).slowdown;
                     // Spot interruptions: a VM task survives its duration
                     // with probability exp(-rate × duration); otherwise
                     // the VM is reclaimed at a uniformly random point
@@ -382,12 +488,12 @@ impl SystemState<'_> {
                     // (`faults.spot_reclaims_per_vm_hour`); the hazard
                     // rises inside compiled reclaim-storm windows.
                     if let Some(frac) = self.faults.vm_interrupt_at(now.as_secs(), dur_s) {
-                        events.schedule(
+                        self.events.schedule(
                             now + SimDuration::from_secs_f64(dur_s * frac),
                             Ev::Interrupted { token, vm: id },
                         );
                     } else {
-                        events.schedule(
+                        self.events.schedule(
                             now + SimDuration::from_secs_f64(dur_s),
                             Ev::TaskDone {
                                 token,
@@ -397,18 +503,335 @@ impl SystemState<'_> {
                         );
                     }
                     if slowdown > 1.0 {
-                        self.schedule_dup_check(events, now, token, vm_nominal);
+                        self.schedule_dup_check(now, token, w.nominal_s);
                     }
                 }
                 None => {
-                    self.launch_on_pool(events, now, token, pool_dur, 0, false);
+                    let dur_s = w.nominal_s * pool_slowdown * slowdown;
+                    self.launch_on_pool(now, token, dur_s, 0, false);
                     if slowdown > 1.0 {
-                        self.schedule_dup_check(events, now, token, pool_nominal);
+                        self.schedule_dup_check(now, token, w.nominal_s * pool_slowdown);
                     }
                 }
             }
         }
+        self.work = work;
     }
+
+    /// Launch every stage of `query` whose last dependency is `finished`
+    /// (`None`: the stages with no dependencies, at arrival).
+    fn launch_ready(&mut self, now: SimTime, query: usize, finished: Option<usize>) {
+        for si in 0..self.source.stages(query) {
+            let ready = match finished {
+                None => self.source.stage(query, si).1.is_empty(),
+                Some(stage) if self.source.stage(query, si).1.contains(&stage) => {
+                    let left = &mut self.queries[query].unfinished_deps[si];
+                    *left = left.saturating_sub(1);
+                    *left == 0
+                }
+                Some(_) => false,
+            };
+            if ready {
+                self.launch_stage(now, query, si);
+            }
+        }
+    }
+
+    /// A copy of `token` completed: release its slot and, when it is the
+    /// first copy to finish, publish its output and advance the query.
+    fn task_done(&mut self, now: SimTime, token: u64, slot: Slot, dup: bool) {
+        match slot {
+            Slot::Vm(id) => self.fleet.release(now, id),
+            Slot::Pool(id) => {
+                self.pool.complete(now, id);
+            }
+        }
+        self.running = self.running.saturating_sub(1);
+        let Some(a) = self.attempts.get_mut(&token) else {
+            debug_assert!(false, "completion for unknown attempt {token}");
+            return;
+        };
+        a.copies = a.copies.saturating_sub(1);
+        let first = !a.done;
+        a.done = true;
+        let (query, stage, bytes) = (a.query, a.stage, a.bytes);
+        if a.copies == 0 {
+            self.attempts.remove(&token);
+        }
+        if !first {
+            // The losing copy of a duplicate pair: its slot is released
+            // and its compute was billed, but shuffle writes are
+            // idempotent — nothing further publishes.
+            return;
+        }
+        if dup {
+            self.faults.note_duplicate_win();
+        }
+        // Cross-region egress: a remote VM publishing its shuffle output
+        // ships the task's bytes out of region, billed in exact
+        // micro-dollars through the env ledger (only the winning copy
+        // publishes, so egress is never double-charged).
+        if let Slot::Vm(id) = slot {
+            if self.environment.remote_vm_fraction > 0.0
+                && bytes > 0
+                && self.faults.vm_traits(id.0).remote
+            {
+                self.telemetry.counter_add("env.egress_bytes_total", bytes);
+                self.env_ledger.charge_micros(
+                    CostCategory::Egress,
+                    egress_micros(bytes, self.environment.egress_micros_per_gib),
+                );
+            }
+        }
+        let q = &mut self.queries[query];
+        q.remaining_tasks[stage] = q.remaining_tasks[stage].saturating_sub(1);
+        if q.remaining_tasks[stage] > 0 {
+            return;
+        }
+        let shuffle_nodes = self.shuffle_fleet.running_count();
+        self.source.stage_done(query, stage, shuffle_nodes);
+        let q = &mut self.queries[query];
+        q.stages_left = q.stages_left.saturating_sub(1);
+        if q.stages_left > 0 {
+            self.launch_ready(now, query, Some(stage));
+            return;
+        }
+        let arrival = q.arrival;
+        let latency = (now - arrival).as_secs_f64();
+        self.latencies[query] = latency;
+        self.source.query_done(query);
+        self.done += 1;
+        self.telemetry.counter_add("run.queries_total", 1);
+        self.telemetry.observe("run.query_latency_seconds", latency);
+        self.telemetry.span_event(
+            arrival.as_millis(),
+            now.as_millis().saturating_sub(arrival.as_millis()),
+            "query",
+            Some(query as u64),
+            None,
+            self.source.query(query).1,
+        );
+    }
+
+    /// The provider reclaims the VM; the attempt re-executes from scratch
+    /// on the elastic pool (run-to-completion tasks have no partial
+    /// progress to save).
+    fn interrupted(&mut self, now: SimTime, token: u64, vm: VmId) {
+        self.fleet.reclaim(now, vm);
+        let Some(a) = self.attempts.get(&token) else {
+            debug_assert!(false, "interrupt for unknown attempt {token}");
+            return;
+        };
+        if a.done {
+            // A duplicate already finished this task; the reclaimed copy
+            // just disappears.
+            self.drop_copy(token);
+        } else {
+            let dur_s = a.base_secs * self.spec.pool_slowdown;
+            self.faults.note_reexec();
+            self.recovery_ledger.charge(
+                CostCategory::ElasticPool,
+                self.spec
+                    .env
+                    .pricing
+                    .pool_cost(SimDuration::from_secs_f64(dur_s)),
+            );
+            self.launch_on_pool(now, token, dur_s, 0, false);
+        }
+    }
+
+    /// Straggler patience elapsed: if the task is still unfinished, the
+    /// first completed copy wins against a duplicate that runs at nominal
+    /// (non-straggled) speed on the pool.
+    fn dup_check(&mut self, now: SimTime, token: u64) {
+        let base = match self.attempts.get_mut(&token) {
+            Some(a) if !a.done && !a.dup_launched => {
+                a.dup_launched = true;
+                a.copies += 1;
+                a.base_secs
+            }
+            _ => return,
+        };
+        let dur_s = base * self.spec.pool_slowdown;
+        self.faults.note_duplicate();
+        self.running += 1;
+        self.max_since_sample = self.max_since_sample.max(self.running);
+        self.recovery_ledger.charge(
+            CostCategory::ElasticPool,
+            self.spec
+                .env
+                .pricing
+                .pool_cost(SimDuration::from_secs_f64(dur_s)),
+        );
+        self.launch_on_pool(now, token, dur_s, 0, true);
+    }
+}
+
+/// The one coordinator loop behind [`run_system`] and
+/// [`run_live`](crate::live::run_live): `source` builds the runner's
+/// [`TaskSource`] from the run's telemetry sink and fault injector, and
+/// is handed back with the result. Callers validate the spec and the
+/// workload first.
+pub(crate) fn coordinate<S: TaskSource>(
+    strategy: &mut dyn ProvisioningStrategy,
+    spec: &RunSpec,
+    source: impl FnOnce(&Telemetry, &FaultInjector) -> S,
+) -> Result<(RunResult, S), RunError> {
+    let env = &spec.env;
+    let pricing = &env.pricing;
+    let telemetry = spec.effective_telemetry();
+    strategy.set_telemetry(&telemetry);
+    let faults = spec.fault_injector(&telemetry)?;
+    let source = source(&telemetry, &faults);
+    let market = faults.price_timeline();
+    let queries: Vec<QueryState> = (0..source.queries())
+        .map(|qi| {
+            let stages = source.stages(qi);
+            QueryState {
+                arrival: SimTime::from_secs(source.query(qi).0),
+                remaining_tasks: (0..stages).map(|si| source.stage(qi, si).0).collect(),
+                unfinished_deps: (0..stages).map(|si| source.stage(qi, si).1.len()).collect(),
+                stages_left: stages,
+            }
+        })
+        .collect();
+    let mut st = Coordinator {
+        spec,
+        source,
+        telemetry: telemetry.clone(),
+        events: EventQueue::new(),
+        fleet: VmFleet::new(pricing.clone()),
+        pool: ElasticPool::new(pricing.clone()),
+        shuffle_fleet: VmFleet::with_category(pricing.clone(), CostCategory::ShuffleNode),
+        latencies: vec![0.0; queries.len()],
+        queries,
+        done: 0,
+        running: 0,
+        max_since_sample: 0,
+        environment: faults.environment(),
+        faults,
+        attempts: BTreeMap::new(),
+        next_token: 0,
+        work: Vec::new(),
+        recovery_ledger: CostLedger::new(),
+        env_ledger: CostLedger::new(),
+        fatal: None,
+    };
+    st.fleet.instrument("fleet", &telemetry);
+    st.pool.instrument(&telemetry);
+    st.shuffle_fleet.instrument("shuffle_fleet", &telemetry);
+    st.recovery_ledger.instrument("recovery", &telemetry);
+    st.env_ledger.instrument("env", &telemetry);
+    if !market.is_flat() {
+        // Spot-market motion: both fleets integrate the compiled
+        // schedule at termination time (a flat timeline keeps the
+        // legacy f64 billing path bit-for-bit).
+        st.fleet.set_price_timeline(market.clone());
+        st.shuffle_fleet.set_price_timeline(market);
+    }
+    let mut shuffle_prov = ShuffleProvisioner::new(env);
+    let mut history = WorkloadHistory::new();
+
+    for (i, q) in st.queries.iter().enumerate() {
+        st.events.schedule(q.arrival, Ev::Arrive(i));
+    }
+    if !st.queries.is_empty() {
+        st.events.schedule(SimTime::ZERO, Ev::Second);
+        st.events.schedule(SimTime::ZERO, Ev::Tick);
+    }
+
+    let mut target = 0u32;
+    while let Some((now, ev)) = st.events.pop() {
+        match ev {
+            Ev::Arrive(qi) => st.launch_ready(now, qi, None),
+            Ev::TaskDone { token, slot, dup } => st.task_done(now, token, slot, dup),
+            Ev::Interrupted { token, vm } => st.interrupted(now, token, vm),
+            Ev::PoolLaunch {
+                token,
+                dur_s,
+                attempt,
+                dup,
+            } => {
+                if st.attempts.get(&token).is_some_and(|a| !a.done) {
+                    st.launch_on_pool(now, token, dur_s, attempt, dup);
+                } else {
+                    // A duplicate finished the task while this copy was
+                    // backing off; abandon the retry chain.
+                    st.drop_copy(token);
+                }
+            }
+            Ev::DupCheck { token } => st.dup_check(now, token),
+            Ev::Second => {
+                st.poll_fleet(now);
+                st.shuffle_fleet.poll(now);
+                history.push(st.max_since_sample.max(st.running));
+                st.max_since_sample = st.running;
+                let shuffle_target = shuffle_prov.target_nodes(st.source.resident_bytes());
+                st.shuffle_fleet.set_target(now, shuffle_target as usize);
+                if telemetry.is_enabled() {
+                    let t_ms = now.as_millis();
+                    telemetry.sample("run.demand", t_ms, history.latest() as f64);
+                    telemetry.sample("run.target", t_ms, target as f64);
+                    telemetry.sample("run.active", t_ms, st.fleet.running_count() as f64);
+                }
+                if st.busy() {
+                    st.events
+                        .schedule(now + SimDuration::from_secs(1), Ev::Second);
+                } else {
+                    st.fleet.set_target(now, 0);
+                    st.shuffle_fleet.set_target(now, 0);
+                }
+            }
+            Ev::Tick => {
+                target = strategy.target(now.as_secs(), &history, env);
+                st.fleet.set_target(now, target as usize);
+                st.poll_fleet(now);
+                if st.busy() {
+                    st.events.schedule(now + env.strategy_tick, Ev::Tick);
+                }
+            }
+        }
+        if let Some(e) = st.fatal.take() {
+            return Err(e);
+        }
+    }
+
+    let end = SimTime::from_secs(history.len() as u64);
+    st.fleet.set_target(end, 0);
+    st.fleet.finalize(end);
+    st.shuffle_fleet.finalize(end);
+    let vm_ledger = st.fleet.ledger();
+    let pool_ledger = st.pool.ledger();
+    let sh_ledger = st.shuffle_fleet.ledger();
+    let store_ledger = st.source.store_ledger();
+    telemetry.gauge_set("run.duration_seconds", history.len() as f64);
+
+    let run = RunResult {
+        compute: ComputeCost {
+            vm_cost: vm_ledger.category(CostCategory::VmCompute),
+            pool_cost: pool_ledger.category(CostCategory::ElasticPool),
+            vm_seconds: vm_ledger.vm_seconds,
+            pool_seconds: pool_ledger.pool_seconds,
+        },
+        shuffle: ShuffleCost {
+            node_cost: sh_ledger.category(CostCategory::ShuffleNode),
+            s3_put_cost: store_ledger.category(CostCategory::S3Put),
+            s3_get_cost: store_ledger.category(CostCategory::S3Get),
+            egress_cost: st.env_ledger.category(CostCategory::Egress),
+            puts: store_ledger.put_requests,
+            gets: store_ledger.get_requests,
+        },
+        latencies: st.latencies,
+        timeseries: if spec.record_timeseries {
+            Timeseries::from_telemetry(&telemetry)
+        } else {
+            None
+        },
+        duration_s: history.len() as u64,
+        strategy: strategy.name(),
+        telemetry,
+    };
+    Ok((run, st.source))
 }
 
 /// Run the full system over a workload under `strategy`. The spec's
@@ -422,311 +845,10 @@ pub fn run_system(
 ) -> Result<RunResult, RunError> {
     spec.validate()?;
     check_profiles(workload)?;
-    let env = &spec.env;
-    let pricing: Pricing = env.pricing.clone();
-    let telemetry = spec.effective_telemetry();
-    strategy.set_telemetry(&telemetry);
-    let faults = spec.fault_injector(&telemetry)?;
-    let environment = faults.environment();
-    let market = faults.price_timeline();
-    let mut events: EventQueue<Ev> = EventQueue::new();
-    let mut st = SystemState {
-        spec,
-        rng: Pcg32::seed_from_u64(spec.seed),
-        fleet: VmFleet::new(pricing.clone()),
-        pool: ElasticPool::new(pricing.clone()),
-        shuffle_fleet: VmFleet::with_category(pricing.clone(), CostCategory::ShuffleNode),
-        running: 0,
-        max_since_sample: 0,
-        resident_total: 0,
-        puts: 0,
-        gets: 0,
-        s3_ledger: CostLedger::new(),
-        faults,
-        attempts: BTreeMap::new(),
-        next_token: 0,
-        recovery_ledger: CostLedger::new(),
-        env_ledger: CostLedger::new(),
-        environment,
-        fatal: None,
-        executor: Executor::new(spec.workers),
+    let replay = |telemetry: &Telemetry, faults: &FaultInjector| {
+        ProfileReplay::new(workload, spec, telemetry, faults)
     };
-    st.fleet.instrument("fleet", &telemetry);
-    st.pool.instrument(&telemetry);
-    st.shuffle_fleet.instrument("shuffle_fleet", &telemetry);
-    st.s3_ledger.instrument("store", &telemetry);
-    st.recovery_ledger.instrument("recovery", &telemetry);
-    st.env_ledger.instrument("env", &telemetry);
-    if !market.is_flat() {
-        // Spot-market motion: both fleets integrate the compiled
-        // schedule at termination time (a flat timeline keeps the
-        // legacy f64 billing path bit-for-bit).
-        st.fleet.set_price_timeline(market.clone());
-        st.shuffle_fleet.set_price_timeline(market);
-    }
-    let mut shuffle_prov = ShuffleProvisioner::new(env);
-    let mut history = WorkloadHistory::new();
-
-    let mut queries: Vec<QueryState> = workload
-        .iter()
-        .map(|q| QueryState {
-            arrival: SimTime::from_secs(q.at_s),
-            remaining_tasks: q.profile.stages.iter().map(|s| s.tasks).collect(),
-            unfinished_deps: q.profile.stages.iter().map(|s| s.deps.len()).collect(),
-            stages_left: q.profile.stages.len(),
-            resident_bytes: 0,
-        })
-        .collect();
-    let mut latencies = vec![0.0f64; workload.len()];
-    let mut done = 0usize;
-
-    for (i, q) in workload.iter().enumerate() {
-        events.schedule(SimTime::from_secs(q.at_s), Ev::Arrive(i));
-    }
-    if !workload.is_empty() {
-        events.schedule(SimTime::ZERO, Ev::Second);
-        events.schedule(SimTime::ZERO, Ev::Tick);
-    }
-
-    let mut target = 0u32;
-    let tick = env.strategy_tick;
-
-    while let Some((now, ev)) = events.pop() {
-        match ev {
-            Ev::Arrive(qi) => {
-                let profile = &workload[qi].profile;
-                for si in 0..profile.stages.len() {
-                    if profile.stages[si].deps.is_empty() {
-                        st.launch_stage(&mut events, now, workload, qi, si);
-                    }
-                }
-            }
-            Ev::TaskDone { token, slot, dup } => {
-                match slot {
-                    Slot::Vm(id) => st.fleet.release(now, id),
-                    Slot::Pool(id) => {
-                        st.pool.complete(now, id);
-                    }
-                }
-                st.running = st.running.saturating_sub(1);
-                let Some(a) = st.attempts.get_mut(&token) else {
-                    debug_assert!(false, "completion for unknown attempt {token}");
-                    continue;
-                };
-                a.copies = a.copies.saturating_sub(1);
-                let first = !a.done;
-                a.done = true;
-                let (query, stage) = (a.query, a.stage);
-                if a.copies == 0 {
-                    st.attempts.remove(&token);
-                }
-                if !first {
-                    // The losing copy of a duplicate pair: its slot is
-                    // released and its compute was billed, but shuffle
-                    // writes are idempotent — nothing further publishes.
-                    continue;
-                }
-                if dup {
-                    st.faults.note_duplicate_win();
-                }
-                // Cross-region egress: a remote VM publishing its shuffle
-                // output ships this task's share of the stage's bytes out
-                // of region, billed in exact micro-dollars through the
-                // env ledger (only the winning copy publishes, so egress
-                // is never double-charged).
-                if st.environment.remote_vm_fraction > 0.0 {
-                    if let Slot::Vm(id) = slot {
-                        if st.faults.vm_traits(id.0).remote {
-                            let sp = &workload[query].profile.stages[stage];
-                            let tasks = u64::from(sp.tasks.max(1));
-                            let bytes = (sp.shuffle_bytes + tasks / 2) / tasks;
-                            if bytes > 0 {
-                                telemetry.counter_add("env.egress_bytes_total", bytes);
-                                st.env_ledger.charge_micros(
-                                    CostCategory::Egress,
-                                    egress_micros(bytes, st.environment.egress_micros_per_gib),
-                                );
-                            }
-                        }
-                    }
-                }
-                let q = &mut queries[query];
-                q.remaining_tasks[stage] = q.remaining_tasks[stage].saturating_sub(1);
-                if q.remaining_tasks[stage] == 0 {
-                    let profile = workload[query].profile.clone();
-                    // Stage output lands in the shuffle tier.
-                    let bytes = profile.stages[stage].shuffle_bytes;
-                    q.resident_bytes += bytes;
-                    st.resident_total += bytes;
-                    let f = st.overflow_fraction();
-                    let puts = (profile.stages[stage].shuffle_writes as f64 * f).round() as u64;
-                    let billed = st.billed_store_requests(puts, StoreOp::Put);
-                    st.puts += billed;
-                    st.s3_ledger
-                        .charge_requests(CostCategory::S3Put, billed, pricing.s3_put);
-                    let q = &mut queries[query];
-                    q.stages_left = q.stages_left.saturating_sub(1);
-                    if q.stages_left == 0 {
-                        let latency = (now - q.arrival).as_secs_f64();
-                        latencies[query] = latency;
-                        st.resident_total = st.resident_total.saturating_sub(q.resident_bytes);
-                        q.resident_bytes = 0;
-                        done += 1;
-                        telemetry.counter_add("run.queries_total", 1);
-                        telemetry.observe("run.query_latency_seconds", latency);
-                        telemetry.span_event(
-                            q.arrival.as_millis(),
-                            now.as_millis().saturating_sub(q.arrival.as_millis()),
-                            "query",
-                            Some(query as u64),
-                            None,
-                            &profile.name,
-                        );
-                    } else {
-                        for si in 0..profile.stages.len() {
-                            if profile.stages[si].deps.contains(&stage) {
-                                let q = &mut queries[query];
-                                q.unfinished_deps[si] = q.unfinished_deps[si].saturating_sub(1);
-                                if q.unfinished_deps[si] == 0 {
-                                    st.launch_stage(&mut events, now, workload, query, si);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            Ev::Interrupted { token, vm } => {
-                // The provider reclaims the VM; the attempt re-executes
-                // from scratch on the elastic pool (run-to-completion
-                // tasks have no partial progress to save).
-                st.fleet.reclaim(now, vm);
-                let Some(a) = st.attempts.get_mut(&token) else {
-                    debug_assert!(false, "interrupt for unknown attempt {token}");
-                    continue;
-                };
-                if a.done {
-                    // A duplicate already finished this task; the
-                    // reclaimed copy just disappears.
-                    st.drop_copy(token);
-                } else {
-                    let dur_s = a.base_secs * spec.pool_slowdown;
-                    st.faults.note_reexec();
-                    st.recovery_ledger.charge(
-                        CostCategory::ElasticPool,
-                        pricing.pool_cost(SimDuration::from_secs_f64(dur_s)),
-                    );
-                    st.launch_on_pool(&mut events, now, token, dur_s, 0, false);
-                }
-            }
-            Ev::PoolLaunch {
-                token,
-                dur_s,
-                attempt,
-                dup,
-            } => {
-                let alive = st.attempts.get(&token).map(|a| !a.done).unwrap_or(false);
-                if alive {
-                    st.launch_on_pool(&mut events, now, token, dur_s, attempt, dup);
-                } else {
-                    // A duplicate finished the task while this copy was
-                    // backing off; abandon the retry chain.
-                    st.drop_copy(token);
-                }
-            }
-            Ev::DupCheck { token } => {
-                let base = match st.attempts.get_mut(&token) {
-                    Some(a) if !a.done && !a.dup_launched => {
-                        a.dup_launched = true;
-                        a.copies += 1;
-                        Some(a.base_secs)
-                    }
-                    _ => None,
-                };
-                if let Some(base) = base {
-                    // First completed copy wins; the duplicate runs at
-                    // nominal (non-straggled) speed on the pool.
-                    let dur_s = base * spec.pool_slowdown;
-                    st.faults.note_duplicate();
-                    st.running += 1;
-                    st.max_since_sample = st.max_since_sample.max(st.running);
-                    st.recovery_ledger.charge(
-                        CostCategory::ElasticPool,
-                        pricing.pool_cost(SimDuration::from_secs_f64(dur_s)),
-                    );
-                    st.launch_on_pool(&mut events, now, token, dur_s, 0, true);
-                }
-            }
-            Ev::Second => {
-                st.poll_fleet(now);
-                st.shuffle_fleet.poll(now);
-                history.push(st.max_since_sample.max(st.running));
-                st.max_since_sample = st.running;
-                let shuffle_target = shuffle_prov.target_nodes(st.resident_total);
-                st.shuffle_fleet.set_target(now, shuffle_target as usize);
-                if telemetry.is_enabled() {
-                    let t_ms = now.as_millis();
-                    telemetry.sample("run.demand", t_ms, history.latest() as f64);
-                    telemetry.sample("run.target", t_ms, target as f64);
-                    telemetry.sample("run.active", t_ms, st.fleet.running_count() as f64);
-                }
-                if done < workload.len() || st.running > 0 {
-                    events.schedule(now + SimDuration::from_secs(1), Ev::Second);
-                } else {
-                    st.fleet.set_target(now, 0);
-                    st.shuffle_fleet.set_target(now, 0);
-                }
-            }
-            Ev::Tick => {
-                target = strategy.target(now.as_secs(), &history, env);
-                st.fleet.set_target(now, target as usize);
-                st.poll_fleet(now);
-                if done < workload.len() || st.running > 0 {
-                    events.schedule(now + tick, Ev::Tick);
-                }
-            }
-        }
-        if st.fatal.is_some() {
-            break;
-        }
-    }
-    if let Some(e) = st.fatal.take() {
-        return Err(e);
-    }
-
-    let end = SimTime::from_secs(history.len() as u64);
-    st.fleet.set_target(end, 0);
-    st.fleet.finalize(end);
-    st.shuffle_fleet.finalize(end);
-    let vm_ledger = st.fleet.ledger();
-    let pool_ledger = st.pool.ledger();
-    let sh_ledger = st.shuffle_fleet.ledger();
-    telemetry.gauge_set("run.duration_seconds", history.len() as f64);
-
-    Ok(RunResult {
-        compute: ComputeCost {
-            vm_cost: vm_ledger.category(CostCategory::VmCompute),
-            pool_cost: pool_ledger.category(CostCategory::ElasticPool),
-            vm_seconds: vm_ledger.vm_seconds,
-            pool_seconds: pool_ledger.pool_seconds,
-        },
-        shuffle: ShuffleCost {
-            node_cost: sh_ledger.category(CostCategory::ShuffleNode),
-            s3_put_cost: st.s3_ledger.category(CostCategory::S3Put),
-            s3_get_cost: st.s3_ledger.category(CostCategory::S3Get),
-            egress_cost: st.env_ledger.category(CostCategory::Egress),
-            puts: st.puts,
-            gets: st.gets,
-        },
-        latencies,
-        timeseries: if spec.record_timeseries {
-            Timeseries::from_telemetry(&telemetry)
-        } else {
-            None
-        },
-        duration_s: history.len() as u64,
-        strategy: strategy.name(),
-        telemetry,
-    })
+    coordinate(strategy, spec, replay).map(|(run, _)| run)
 }
 
 /// Forward to [`run_system`], kept only for the repository benchmark.

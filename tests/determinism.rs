@@ -162,8 +162,9 @@ fn golden_fault_run_dumps_are_byte_identical() -> Result<(), RunError> {
 
 #[test]
 fn golden_dumps_are_byte_identical_across_worker_counts() -> Result<(), RunError> {
-    // The headline guarantee of the stage executor: the worker count is
-    // a pure throughput knob, never an input to the simulation. The
+    // The worker count is a pure throughput knob, never an input to the
+    // simulation. The profile replay runs no engine work, so the knob
+    // has nothing to speed up here, but it must not leak in either: the
     // telemetry dump must not move by a byte between 1, 2 and 8 workers,
     // with and without an active fault plan.
     let dump = |workers: u32, faulted: bool| {

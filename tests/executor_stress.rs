@@ -2,12 +2,13 @@
 //!
 //! The determinism suite checks seeded repeats; this one attacks the
 //! parallel executor specifically. A seeded workload runs under an
-//! aggressive fault plan — spot reclaims (system runner), stragglers,
-//! pool invoke failures and throttles, store errors, and transport
-//! drops — at 1 and 8 workers, and must produce an identical report and
-//! identical fault/recovery counters: fault draws are keyed by operation
-//! identity and cross-task effects merge in task-index order, so thread
-//! scheduling never leaks into results.
+//! aggressive fault plan — spot reclaims, stragglers with duplicate
+//! launches, pool invoke failures and throttles, store errors, and
+//! transport drops — through both runners at 1 and 8 workers, and must
+//! produce an identical report and identical fault/recovery counters:
+//! fault draws are keyed by operation identity and cross-task effects
+//! merge in task-index order, so thread scheduling never leaks into
+//! results.
 
 use cackle::model::build_workload;
 use cackle::system::run_system;
@@ -70,7 +71,10 @@ fn report(r: &RunResult) -> String {
 fn live_fault_runs_are_worker_count_independent() -> Result<(), RunError> {
     // Real queries through the engine: operator pipelines, hybrid
     // shuffle with transport drops and billed store fallback, straggler
-    // draws, pool invoke failures — all at once.
+    // duplicates, spot reclaims, pool invoke failures — all at once. The
+    // workload outlasts the 180 s VM startup so the fleet runs tasks,
+    // and live tasks last seconds, so the reclaim rate is raised until
+    // reclaims certainly occur.
     let catalog = generate_catalog(&DbGenConfig {
         scale_factor: 0.002,
         rows_per_partition: 512,
@@ -83,28 +87,36 @@ fn live_fault_runs_are_worker_count_independent() -> Result<(), RunError> {
     };
     let workload: Vec<LiveQuery> = ["q01", "q06", "q03", "q13", "q04", "q06"]
         .iter()
+        .cycle()
+        .take(36)
         .enumerate()
         .map(|(i, &n)| LiveQuery {
-            at_s: i as u64 * 7,
+            at_s: i as u64 * 10,
             plan: Arc::new(plans::plan(n, par)),
         })
         .collect();
     let run = |workers: u32| {
         let t = Telemetry::new();
         let spec = RunSpec::new()
-            .with_rows_per_task_second(5_000.0)
+            .with_rows_per_task_second(500.0)
             .with_workers(workers)
-            .with_faults(chaos())
+            .with_faults(chaos().with_spot_reclaims(360.0))
             .with_telemetry(&t);
         let mut dynamic = MetaStrategy::new(&spec.env);
         let r = run_live(&workload, &catalog, &mut dynamic, &spec)?;
         Ok::<_, RunError>((report(&r), counter_snapshot(&t), t.export_jsonl()))
     };
     let (serial_report, serial_counters, serial_dump) = run(1)?;
-    assert!(
-        serial_counters.iter().any(|&(_, v)| v > 0),
-        "fault plan was not active: {serial_counters:?}"
-    );
+    for active in [
+        "fault.spot_reclaims_total",
+        "recovery.task_reexecs_total",
+        "recovery.duplicates_launched_total",
+    ] {
+        assert!(
+            serial_counters.iter().any(|&(c, v)| c == active && v > 0),
+            "{active} was not active: {serial_counters:?}"
+        );
+    }
     let (parallel_report, parallel_counters, parallel_dump) = run(8)?;
     assert_eq!(serial_counters, parallel_counters, "counters diverged");
     assert!(
@@ -122,8 +134,9 @@ fn live_fault_runs_are_worker_count_independent() -> Result<(), RunError> {
 
 #[test]
 fn system_fault_runs_are_worker_count_independent() -> Result<(), RunError> {
-    // The profile replay exercises the injection points live runs cannot
-    // (spot reclaims, duplicate launches) through the same executor.
+    // The profile replay under the same plan: its task durations come
+    // from profiles, so no engine work runs on the executor, and the
+    // worker count must still not move the run.
     let workload = build_workload(&WorkloadSpec::hour_long(250, 29), &profile_set(10.0));
     let run = |workers: u32| {
         let t = Telemetry::new();
