@@ -54,6 +54,11 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> micro-bench targets compile"
+# The harness=false benches call SlidingQuantile and AllocationSim, but
+# neither the build nor the test step above compiles bench targets.
+cargo bench -p cackle-bench --offline --no-run
+
 echo "==> benchmark suite build and smoke tests"
 # crates/bench/suite is a workspace of its own that imports core's
 # hidden runner forwards; nothing above compiles it.
@@ -72,7 +77,7 @@ echo "==> worker-count determinism (1 and 8 workers, golden dumps)"
 cargo test -q --test determinism golden_dumps_are_byte_identical_across_worker_counts
 cargo test -q --test executor_stress
 
-echo "==> differential quantile sweep (Fenwick vs sorted brute force)"
+echo "==> differential quantile sweep (sorted sliding window vs sorted brute force)"
 cargo test -q -p cackle differential_quantile_fenwick_vs_sorted
 
 echo "==> telemetry dump round-trip"

@@ -14,6 +14,11 @@ use crate::config::Env;
 use std::collections::VecDeque;
 
 /// Incremental fleet/cost simulator driven one second at a time.
+///
+/// VMs are held as run-length cohorts — `(second, count)` pairs — so a
+/// request for thousands of VMs is one entry, and a span of seconds with
+/// nothing to promote, request, cancel or terminate bills in a tight loop
+/// (`step_span`).
 #[derive(Debug, Clone)]
 pub struct AllocationSim {
     startup_s: u64,
@@ -25,14 +30,28 @@ pub struct AllocationSim {
     vm_dollars: f64,
     pool_dollars: f64,
     now: u64,
-    /// Start seconds of running VMs, oldest first.
-    active: VecDeque<u64>,
-    /// Ready seconds of requested-but-not-started VMs, soonest first.
-    pending: VecDeque<u64>,
+    /// Running VMs as `(start second, count)` cohorts, oldest first.
+    active: VecDeque<(u64, usize)>,
+    /// Requested-but-not-started VMs as `(ready second, count)` cohorts,
+    /// soonest first.
+    pending: VecDeque<(u64, usize)>,
+    /// Total VMs over the `active` cohorts.
+    active_n: usize,
+    /// Total VMs over the `pending` cohorts.
+    pending_n: usize,
     /// Accumulated billed VM-seconds (min billing applied at termination).
     vm_billed_s: f64,
     /// Accumulated elastic-pool slot-seconds.
     pool_s: f64,
+}
+
+/// Append `count` VMs at `second` to a cohort queue, merging with the
+/// newest cohort when it shares the second.
+fn push_cohort(queue: &mut VecDeque<(u64, usize)>, second: u64, count: usize) {
+    match queue.back_mut() {
+        Some((s, n)) if *s == second => *n += count,
+        _ => queue.push_back((second, count)),
+    }
 }
 
 impl AllocationSim {
@@ -62,6 +81,8 @@ impl AllocationSim {
             now: 0,
             active: VecDeque::new(),
             pending: VecDeque::new(),
+            active_n: 0,
+            pending_n: 0,
             vm_billed_s: 0.0,
             pool_s: 0.0,
             vm_dollars: 0.0,
@@ -71,12 +92,12 @@ impl AllocationSim {
 
     /// Number of currently running VMs.
     pub fn active_count(&self) -> usize {
-        self.active.len()
+        self.active_n
     }
 
     /// Number of requested VMs not yet started.
     pub fn pending_count(&self) -> usize {
-        self.pending.len()
+        self.pending_n
     }
 
     /// Current simulated second.
@@ -84,20 +105,47 @@ impl AllocationSim {
         self.now
     }
 
-    fn terminate_oldest(&mut self) {
-        let start = self
-            .active
-            .pop_front()
-            .expect("terminate with no active VM");
-        let ran = self.now - start;
-        // Runtime seconds were already accrued second-by-second in `step`;
-        // terminating early bills the minimum-billing shortfall on top,
-        // at the rate in force at termination time.
-        if ran < self.min_billing_s {
-            let shortfall = (self.min_billing_s - ran) as f64;
-            self.vm_billed_s += shortfall;
-            // cackle-lint: allow(L11) — closed-form mirror ledger, cross-checked against CostLedger in tests
-            self.vm_dollars += shortfall * self.vm_rate_per_s;
+    /// Terminate the `count` oldest running VMs.
+    fn terminate_oldest(&mut self, mut count: usize) {
+        self.active_n -= count;
+        while count > 0 {
+            let (start, n) = self
+                .active
+                .front_mut()
+                .expect("terminate with no active VM");
+            let k = count.min(*n);
+            let ran = self.now - *start;
+            *n -= k;
+            if *n == 0 {
+                self.active.pop_front();
+            }
+            count -= k;
+            // Runtime seconds were already accrued second-by-second in
+            // `step`; terminating early bills the minimum-billing shortfall
+            // on top, at the rate in force at termination time — once per
+            // VM, so the `f64` sums match a per-VM fleet bit for bit.
+            if ran < self.min_billing_s {
+                let shortfall = (self.min_billing_s - ran) as f64;
+                for _ in 0..k {
+                    self.vm_billed_s += shortfall;
+                    // cackle-lint: allow(L11) — closed-form mirror ledger, cross-checked against CostLedger in tests
+                    self.vm_dollars += shortfall * self.vm_rate_per_s;
+                }
+            }
+        }
+    }
+
+    /// Cancel the `count` most recently requested pending VMs.
+    fn cancel_newest(&mut self, mut count: usize) {
+        self.pending_n -= count;
+        while count > 0 {
+            let (_, n) = self.pending.back_mut().expect("cancel with no pending VM");
+            let k = count.min(*n);
+            *n -= k;
+            if *n == 0 {
+                self.pending.pop_back();
+            }
+            count -= k;
         }
     }
 
@@ -110,12 +158,14 @@ impl AllocationSim {
     }
 
     fn promote_ready(&mut self) {
-        while let Some(&ready) = self.pending.front() {
+        while let Some(&(ready, n)) = self.pending.front() {
             if ready > self.now {
                 break;
             }
             self.pending.pop_front();
-            self.active.push_back(ready);
+            self.pending_n -= n;
+            push_cohort(&mut self.active, ready, n);
+            self.active_n += n;
         }
     }
 
@@ -130,39 +180,69 @@ impl AllocationSim {
         // 1. Promote pending VMs that are ready.
         self.promote_ready();
         // 2. Apply the target.
-        let total = self.active.len() + self.pending.len();
+        let total = self.active_n + self.pending_n;
         let target = target as usize;
         if target > total {
-            for _ in 0..target - total {
-                self.pending.push_back(self.now + self.startup_s);
-            }
+            push_cohort(&mut self.pending, self.now + self.startup_s, target - total);
+            self.pending_n += target - total;
         } else if target < total {
-            let mut excess = total - target;
+            let excess = total - target;
             // Cancel pending first (free).
-            while excess > 0 && !self.pending.is_empty() {
-                self.pending.pop_back();
-                excess -= 1;
-            }
+            let cancel = excess.min(self.pending_n);
+            self.cancel_newest(cancel);
             // Terminate idle VMs (beyond demand), oldest first.
-            let busy = (demand as usize).min(self.active.len());
-            let idle = self.active.len() - busy;
-            for _ in 0..excess.min(idle) {
-                self.terminate_oldest();
-            }
+            let busy = (demand as usize).min(self.active_n);
+            let idle = self.active_n - busy;
+            self.terminate_oldest((excess - cancel).min(idle));
         }
         // 2b. With zero startup latency, fresh requests are usable at once.
         if self.startup_s == 0 {
             self.promote_ready();
         }
         // 3. Bill the second at the rates currently in force.
-        self.vm_billed_s += self.active.len() as f64;
+        self.bill_second(demand);
+    }
+
+    /// Bill one second of usage at the current fleet size and advance the
+    /// clock.
+    fn bill_second(&mut self, demand: u32) {
+        self.vm_billed_s += self.active_n as f64;
         // cackle-lint: allow(L11) — closed-form mirror ledger, cross-checked against CostLedger in tests
-        self.vm_dollars += self.active.len() as f64 * self.vm_rate_per_s;
-        let overflow = (demand as usize).saturating_sub(self.active.len());
+        self.vm_dollars += self.active_n as f64 * self.vm_rate_per_s;
+        let overflow = (demand as usize).saturating_sub(self.active_n);
         self.pool_s += overflow as f64;
         // cackle-lint: allow(L11) — closed-form mirror ledger, cross-checked against CostLedger in tests
         self.pool_dollars += overflow as f64 * self.pool_rate_per_s;
         self.now += 1;
+    }
+
+    /// Advance one second per entry of `demands`, all at `target`: the
+    /// same result, bit for bit, as calling [`step`](Self::step) for each.
+    ///
+    /// A second is *settled* when the fleet already matches the target
+    /// (`active + pending == target`) and no pending cohort becomes ready:
+    /// `step` would then only bill it, so a run of settled seconds bills in
+    /// a tight loop and only the others take the general path.
+    pub(crate) fn step_span(&mut self, target: u32, demands: &[u32]) {
+        let mut rest = demands;
+        while let Some((&demand, tail)) = rest.split_first() {
+            let settled = if self.active_n + self.pending_n == target as usize {
+                let next_ready = self.pending.front().map_or(u64::MAX, |&(ready, _)| ready);
+                next_ready.saturating_sub(self.now).min(rest.len() as u64) as usize
+            } else {
+                0
+            };
+            if settled == 0 {
+                self.step(target, demand);
+                rest = tail;
+            } else {
+                let (span, tail) = rest.split_at(settled);
+                for &demand in span {
+                    self.bill_second(demand);
+                }
+                rest = tail;
+            }
+        }
     }
 
     /// Billed VM-seconds so far (not counting min-billing remainders of
@@ -195,9 +275,8 @@ impl AllocationSim {
     /// Terminate everything and return the final cost.
     pub fn finalize(&mut self) -> f64 {
         self.pending.clear();
-        while !self.active.is_empty() {
-            self.terminate_oldest();
-        }
+        self.pending_n = 0;
+        self.terminate_oldest(self.active_n);
         self.cost()
     }
 }
@@ -374,5 +453,186 @@ mod tests {
         // pool = sum(max(0, d-4)) = 4 + 5 = 9.
         assert!((sim.pool_seconds() - 9.0).abs() < 1e-9);
         assert!((sim.vm_billed_seconds() - 4.0 * 6.0).abs() < 1e-9);
+    }
+
+    /// The per-VM fleet the cohorts replaced: one `VecDeque` entry per
+    /// VM. Kept as the reference the cohort sim must match bit for bit.
+    struct PerVmSim {
+        startup_s: u64,
+        min_billing_s: u64,
+        vm_rate_per_s: f64,
+        pool_rate_per_s: f64,
+        vm_dollars: f64,
+        pool_dollars: f64,
+        now: u64,
+        active: VecDeque<u64>,
+        pending: VecDeque<u64>,
+        vm_billed_s: f64,
+        pool_s: f64,
+    }
+
+    impl PerVmSim {
+        fn new(startup_s: u64, min_billing_s: u64, vm_rate: f64, pool_rate: f64) -> Self {
+            PerVmSim {
+                startup_s,
+                min_billing_s,
+                vm_rate_per_s: vm_rate,
+                pool_rate_per_s: pool_rate,
+                vm_dollars: 0.0,
+                pool_dollars: 0.0,
+                now: 0,
+                active: VecDeque::new(),
+                pending: VecDeque::new(),
+                vm_billed_s: 0.0,
+                pool_s: 0.0,
+            }
+        }
+
+        fn terminate_oldest(&mut self) {
+            let start = self.active.pop_front().unwrap();
+            let ran = self.now - start;
+            if ran < self.min_billing_s {
+                let shortfall = (self.min_billing_s - ran) as f64;
+                self.vm_billed_s += shortfall;
+                self.vm_dollars += shortfall * self.vm_rate_per_s;
+            }
+        }
+
+        fn promote_ready(&mut self) {
+            while let Some(&ready) = self.pending.front() {
+                if ready > self.now {
+                    break;
+                }
+                self.pending.pop_front();
+                self.active.push_back(ready);
+            }
+        }
+
+        fn step(&mut self, target: u32, demand: u32) {
+            self.promote_ready();
+            let total = self.active.len() + self.pending.len();
+            let target = target as usize;
+            if target > total {
+                for _ in 0..target - total {
+                    self.pending.push_back(self.now + self.startup_s);
+                }
+            } else if target < total {
+                let mut excess = total - target;
+                while excess > 0 && !self.pending.is_empty() {
+                    self.pending.pop_back();
+                    excess -= 1;
+                }
+                let busy = (demand as usize).min(self.active.len());
+                let idle = self.active.len() - busy;
+                for _ in 0..excess.min(idle) {
+                    self.terminate_oldest();
+                }
+            }
+            if self.startup_s == 0 {
+                self.promote_ready();
+            }
+            self.vm_billed_s += self.active.len() as f64;
+            self.vm_dollars += self.active.len() as f64 * self.vm_rate_per_s;
+            let overflow = (demand as usize).saturating_sub(self.active.len());
+            self.pool_s += overflow as f64;
+            self.pool_dollars += overflow as f64 * self.pool_rate_per_s;
+            self.now += 1;
+        }
+
+        fn finalize(&mut self) {
+            self.pending.clear();
+            while !self.active.is_empty() {
+                self.terminate_oldest();
+            }
+        }
+    }
+
+    fn assert_same(sim: &AllocationSim, reference: &PerVmSim, ctx: &str) {
+        assert_eq!(
+            sim.vm_dollars().to_bits(),
+            reference.vm_dollars.to_bits(),
+            "vm $ {ctx}"
+        );
+        assert_eq!(
+            sim.pool_dollars().to_bits(),
+            reference.pool_dollars.to_bits(),
+            "pool $ {ctx}"
+        );
+        assert_eq!(
+            sim.vm_billed_seconds().to_bits(),
+            reference.vm_billed_s.to_bits(),
+            "vm s {ctx}"
+        );
+        assert_eq!(
+            sim.pool_seconds().to_bits(),
+            reference.pool_s.to_bits(),
+            "pool s {ctx}"
+        );
+        assert_eq!(sim.active_count(), reference.active.len(), "active {ctx}");
+        assert_eq!(
+            sim.pending_count(),
+            reference.pending.len(),
+            "pending {ctx}"
+        );
+        assert_eq!(sim.now(), reference.now, "now {ctx}");
+    }
+
+    /// Differential sweep: the cohort sim matches the per-VM reference bit
+    /// for bit after every second and after `finalize`, across startup
+    /// latencies, minimum billings, a mid-stream price change and targets
+    /// up to 50k; and `step_span` matches stepping each second in turn.
+    #[test]
+    fn differential_cohort_sim_vs_per_vm_reference() {
+        use cackle_prng::Pcg32;
+        let mut rng = Pcg32::seed_from_u64(0xC0_4047);
+        for startup in [0u64, 3, 180] {
+            for min_billing in [1u64, 5, 60] {
+                for peak in [8u32, 400, 50_000] {
+                    let ctx = format!("startup {startup} min {min_billing} peak {peak}");
+                    let (vm_rate, pool_rate) = (0.0123, 0.0789);
+                    let mut sim =
+                        AllocationSim::with_rates(startup, min_billing, vm_rate, pool_rate);
+                    let mut spanned = sim.clone();
+                    let mut reference = PerVmSim::new(startup, min_billing, vm_rate, pool_rate);
+                    let seconds = 400;
+                    let mut second = 0;
+                    while second < seconds {
+                        if second == seconds / 2 {
+                            sim.set_rates(0.031, 0.17);
+                            spanned.set_rates(0.031, 0.17);
+                            reference.vm_rate_per_s = 0.031;
+                            reference.pool_rate_per_s = 0.17;
+                        }
+                        // A tick: one target held over a run of seconds —
+                        // sometimes long enough to span a whole startup —
+                        // with demand jittering around it so idle
+                        // terminations are partial.
+                        let target = rng.gen_range(0..peak + 1);
+                        let max_len = if rng.gen_range(0..4u32) == 0 { 200 } else { 12 };
+                        let len = rng.gen_range(1..max_len).min(seconds - second);
+                        let demands: Vec<u32> = (0..len)
+                            .map(|_| rng.gen_range(0..peak + peak / 2 + 1))
+                            .collect();
+                        for &d in &demands {
+                            sim.step(target, d);
+                            reference.step(target, d);
+                            assert_same(&sim, &reference, &format!("{ctx} t {}", reference.now));
+                        }
+                        spanned.step_span(target, &demands);
+                        assert_same(
+                            &spanned,
+                            &reference,
+                            &format!("span {ctx} t {}", reference.now),
+                        );
+                        second += len;
+                    }
+                    sim.finalize();
+                    spanned.finalize();
+                    reference.finalize();
+                    assert_same(&sim, &reference, &format!("finalize {ctx}"));
+                    assert_same(&spanned, &reference, &format!("span finalize {ctx}"));
+                }
+            }
+        }
     }
 }

@@ -1,5 +1,6 @@
-//! The workload history (§4.4.1) and an order-statistics structure for
-//! evaluating hundreds of percentile experts cheaply.
+//! The workload history (§4.4.1) and a sorted sliding window for
+//! evaluating hundreds of percentile experts cheaply: each percentile is
+//! one index read.
 
 use cackle_workload::demand::percentile_of_sorted;
 
@@ -71,18 +72,26 @@ impl WorkloadHistory {
 }
 
 /// Maximum demand value tracked exactly by [`SlidingQuantile`]; larger
-/// samples clamp (the Fenwick tree is sized to this domain).
+/// samples clamp to `QUANTILE_DOMAIN - 1`. The clamp is kept because the
+/// experts' targets depend on it (no window percentile exceeds it), not
+/// because the sorted window needs a bounded domain.
 pub const QUANTILE_DOMAIN: u32 = 1 << 16;
 
 /// A sliding-window order-statistics structure: push one sample per second,
-/// query any percentile in `O(log D)`. This is what lets the meta-strategy
-/// evaluate 100 percentile experts per lookback without re-sorting.
+/// read any percentile as one index into the window kept sorted. This is
+/// what lets the meta-strategy evaluate 100 percentile experts per
+/// lookback without re-sorting.
+///
+/// A push costs one binary search and one `copy_within` over the samples
+/// between the evicted value and the new one; the evicted sample's slot is
+/// reused, so a full window never reallocates.
 #[derive(Debug, Clone)]
 pub struct SlidingQuantile {
     capacity: usize,
+    /// Samples in arrival order, oldest first.
     window: std::collections::VecDeque<u32>,
-    /// Fenwick tree over the value domain, counts per value.
-    tree: Vec<u32>,
+    /// The same samples, ascending.
+    sorted: Vec<u32>,
 }
 
 impl SlidingQuantile {
@@ -91,27 +100,35 @@ impl SlidingQuantile {
         assert!(capacity > 0);
         SlidingQuantile {
             capacity,
-            window: std::collections::VecDeque::with_capacity(capacity + 1),
-            tree: vec![0; QUANTILE_DOMAIN as usize + 1],
-        }
-    }
-
-    fn add(&mut self, v: u32, delta: i32) {
-        let mut i = v as usize + 1;
-        while i < self.tree.len() {
-            self.tree[i] = (self.tree[i] as i64 + delta as i64) as u32;
-            i += i & i.wrapping_neg();
+            window: std::collections::VecDeque::with_capacity(capacity),
+            sorted: Vec::with_capacity(capacity),
         }
     }
 
     /// Push the next sample, evicting the oldest when full.
     pub fn push(&mut self, v: u32) {
         let v = v.min(QUANTILE_DOMAIN - 1);
+        if self.window.len() < self.capacity {
+            self.window.push_back(v);
+            let at = self.sorted.partition_point(|&x| x <= v);
+            self.sorted.insert(at, v);
+            return;
+        }
+        let old = self.window.pop_front().expect("full window is non-empty");
         self.window.push_back(v);
-        self.add(v, 1);
-        if self.window.len() > self.capacity {
-            let old = self.window.pop_front().expect("non-empty");
-            self.add(old, -1);
+        let s = &mut self.sorted;
+        if v <= old {
+            // Shift the values in (v, old) right over old's first slot.
+            let i = s.partition_point(|&x| x < old);
+            let j = s[..i].partition_point(|&x| x <= v);
+            s.copy_within(j..i, j + 1);
+            s[j] = v;
+        } else {
+            // Shift the values in (old, v) left over old's last slot.
+            let i = s.partition_point(|&x| x <= old) - 1;
+            let j = i + 1 + s[i + 1..].partition_point(|&x| x < v);
+            s.copy_within(i + 1..j, i);
+            s[j - 1] = v;
         }
     }
 
@@ -128,22 +145,11 @@ impl SlidingQuantile {
     /// The `k`-th smallest sample (1-based). Panics if `k` is out of range.
     pub fn kth(&self, k: usize) -> u32 {
         assert!(
-            k >= 1 && k <= self.window.len(),
+            k >= 1 && k <= self.sorted.len(),
             "k={k} of {}",
-            self.window.len()
+            self.sorted.len()
         );
-        let mut remaining = k as u32;
-        let mut pos = 0usize;
-        let mut bit = (self.tree.len() - 1).next_power_of_two() / 2;
-        while bit > 0 {
-            let next = pos + bit;
-            if next < self.tree.len() && self.tree[next] < remaining {
-                remaining -= self.tree[next];
-                pos = next;
-            }
-            bit /= 2;
-        }
-        pos as u32
+        self.sorted[k - 1]
     }
 
     /// Nearest-rank percentile (0–100) of the current window; 0 if empty.
@@ -208,7 +214,7 @@ mod tests {
         assert_eq!(sq.len(), 50);
     }
 
-    /// Differential sweep between the Fenwick-tree quantile and a sorted
+    /// Differential sweep between the sorted sliding window and a sorted
     /// brute force over every interesting `(window, pct)` edge: empty
     /// window, partial fill (window shorter than capacity), post-eviction
     /// steady state, capacities above 100 samples, and pct 0 / 1 / 100.
@@ -237,13 +243,40 @@ mod tests {
                     assert_eq!(
                         sq.percentile(pct),
                         expect,
-                        "fenwick: cap {capacity} step {step} pct {pct}"
+                        "window: cap {capacity} step {step} pct {pct}"
                     );
                     assert_eq!(
                         percentile_of_sorted(&w, pct),
                         expect,
                         "sorted: cap {capacity} step {step} pct {pct}"
                     );
+                }
+            }
+        }
+    }
+
+    /// Heavy ties and clamped samples: every order statistic of the
+    /// sorted window matches a brute-force sort after every push, whether
+    /// the evicted sample is below, equal to or above the new one.
+    #[test]
+    fn sorted_window_matches_brute_force_under_ties() {
+        let mut rng = Pcg32::seed_from_u64(7);
+        for capacity in [1usize, 2, 5, 9, 64] {
+            let mut sq = SlidingQuantile::new(capacity);
+            let mut all: Vec<u32> = Vec::new();
+            for _ in 0..capacity * 4 + 10 {
+                let v = match rng.gen_range(0..6u32) {
+                    5 => QUANTILE_DOMAIN + rng.gen_range(0..3u32),
+                    small => small,
+                };
+                sq.push(v);
+                all.push(v.min(QUANTILE_DOMAIN - 1));
+                let start = all.len().saturating_sub(capacity);
+                let mut w = all[start..].to_vec();
+                w.sort_unstable();
+                assert_eq!(sq.len(), w.len());
+                for (k, &expect) in w.iter().enumerate() {
+                    assert_eq!(sq.kth(k + 1), expect, "cap {capacity} k {}", k + 1);
                 }
             }
         }

@@ -5,11 +5,15 @@
 //!
 //! 1. each expert's incremental [`AllocationSim`] is advanced over the new
 //!    history seconds using the target it chose last tick — this maintains
-//!    that expert's predicted *allocation history* and running cost;
+//!    that expert's predicted *allocation history* and running cost. The
+//!    sims advance expert by expert, each over the whole span at its fixed
+//!    target, so seconds where the expert's fleet already matches its
+//!    target only bill; the shared percentile windows then take the span;
 //! 2. each expert produces a new target (its percentile over its lookback
 //!    window, times its multiplier) from shared per-lookback
-//!    [`SlidingQuantile`] structures (one order-statistics query per
-//!    expert, no per-expert sorting);
+//!    [`SlidingQuantile`] windows kept sorted (one index read per expert,
+//!    no per-expert sorting; unit-multiplier experts skip the float
+//!    multiply);
 //! 3. expert weights are multiplied by `1 − ε·ĉ`, where `ĉ` is the
 //!    expert's interval cost normalized to the worst expert's;
 //! 4. an expert is drawn from the weight distribution and its target
@@ -110,6 +114,8 @@ pub struct MetaStrategy {
     sims: Vec<AllocationSim>,
     weights: Vec<f64>,
     last_costs: Vec<f64>,
+    /// Each expert's cost over the last tick, reused across ticks.
+    interval: Vec<f64>,
     expert_targets: Vec<u32>,
     quantiles: Vec<SlidingQuantile>,
     epsilon: f64,
@@ -146,6 +152,7 @@ impl MetaStrategy {
             sims: (0..n).map(|_| AllocationSim::new(env)).collect(),
             weights: vec![1.0; n],
             last_costs: vec![0.0; n],
+            interval: vec![0.0; n],
             expert_targets: vec![0; n],
             experts,
             epsilon: cfg.epsilon,
@@ -206,23 +213,30 @@ impl MetaStrategy {
     }
 
     fn advance_sims(&mut self, history: &WorkloadHistory) {
-        let until = history.len() as u64;
-        while self.fed < until {
-            let demand = history.at(self.fed);
-            for (sim, &target) in self.sims.iter_mut().zip(&self.expert_targets) {
-                sim.step(target, demand);
-            }
+        let new = history.samples().get(self.fed as usize..).unwrap_or(&[]);
+        // Expert-major: the sims are independent, so each runs its whole
+        // span at its fixed target before the next starts.
+        for (sim, &target) in self.sims.iter_mut().zip(&self.expert_targets) {
+            sim.step_span(target, new);
+        }
+        for &demand in new {
             for q in &mut self.quantiles {
                 q.push(demand);
             }
-            self.fed += 1;
         }
+        self.fed += new.len() as u64;
     }
 
     fn recompute_targets(&mut self) {
-        for (i, e) in self.experts.iter().enumerate() {
+        for (e, target) in self.experts.iter().zip(&mut self.expert_targets) {
             let p = self.quantiles[e.lookback_idx].percentile(e.percentile);
-            self.expert_targets[i] = (p as f64 * e.multiplier).round() as u32;
+            // `(p as f64 * 1.0).round() as u32 == p` for every `u32`, so
+            // unit experts skip the float round trip.
+            *target = if e.multiplier == 1.0 {
+                p
+            } else {
+                (p as f64 * e.multiplier).round() as u32
+            };
         }
     }
 
@@ -230,13 +244,17 @@ impl MetaStrategy {
         // Interval cost per expert since the previous tick.
         let mut max_cost = f64::MIN;
         let mut min_cost = f64::MAX;
-        let mut interval = vec![0.0; self.sims.len()];
-        for (i, sim) in self.sims.iter().enumerate() {
+        for ((sim, last), interval) in self
+            .sims
+            .iter()
+            .zip(&mut self.last_costs)
+            .zip(&mut self.interval)
+        {
             let c = sim.cost();
-            interval[i] = c - self.last_costs[i];
-            self.last_costs[i] = c;
-            max_cost = max_cost.max(interval[i]);
-            min_cost = min_cost.min(interval[i]);
+            *interval = c - *last;
+            *last = c;
+            max_cost = max_cost.max(*interval);
+            min_cost = min_cost.min(*interval);
         }
         if max_cost <= min_cost {
             return; // indistinguishable interval: no information
@@ -245,7 +263,7 @@ impl MetaStrategy {
         // scaling keeps discrimination sharp even when one runaway expert
         // would otherwise compress everyone else's penalty toward zero.
         let range = max_cost - min_cost;
-        for (w, cost) in self.weights.iter_mut().zip(&interval) {
+        for (w, cost) in self.weights.iter_mut().zip(&self.interval) {
             *w *= 1.0 - self.epsilon * ((cost - min_cost) / range);
         }
         // Guard against global underflow.
@@ -462,5 +480,46 @@ mod tests {
             ..FamilyConfig::small()
         };
         MetaStrategy::with_family(cfg, &env());
+    }
+
+    /// `dynamic`'s exact output on two fig10 trace prefixes, pinned bit
+    /// for bit. The expert sims and weight updates accumulate `f64`s, so
+    /// any change that reorders those sums (batched billing, sharded sims)
+    /// fails here rather than drifting silently.
+    #[test]
+    fn dynamic_output_is_pinned_on_trace_prefixes() {
+        use crate::model::simulate_compute;
+        use crate::spec::RunSpec;
+        use cackle_workload::traces::{alibaba_trace, startup_trace};
+        let cases = [
+            // Startup ×20, first 6 h.
+            (
+                startup_trace(1).scale(20.0).samples[..6 * 3600].to_vec(),
+                (0x3fe7111111111052u64, 0x4022cdd2f1a9fbfbu64),
+                (86_500.0, 188_040.0),
+                3_332,
+                10_122_833,
+            ),
+            // Alibaba ×100, first 2 h: peak demand 11,000, so requests of
+            // thousands of VMs exercise the run-length cohorts.
+            (
+                alibaba_trace(1).scale(100.0).samples[..2 * 3600].to_vec(),
+                (0x40827a1111110f3e, 0x40681fae147adfd8),
+                (70_951_000.0, 3_859_800.0),
+                1_440,
+                784_248_333,
+            ),
+        ];
+        for (demand, (vm_bits, pool_bits), (vm_s, pool_s), switches, micros) in cases {
+            let spec = RunSpec::default();
+            let mut m = MetaStrategy::new(&spec.env);
+            let r = simulate_compute(&demand, &mut m, &spec);
+            assert_eq!(r.compute.vm_cost.to_bits(), vm_bits, "vm_cost");
+            assert_eq!(r.compute.pool_cost.to_bits(), pool_bits, "pool_cost");
+            assert_eq!(r.compute.vm_seconds, vm_s, "vm_seconds");
+            assert_eq!(r.compute.pool_seconds, pool_s, "pool_seconds");
+            assert_eq!(m.switch_count(), switches, "switches");
+            assert_eq!(r.total_cost_micros(), micros, "total_cost_micros");
+        }
     }
 }
